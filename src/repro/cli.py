@@ -102,7 +102,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="abort the sweep on the first failed run instead of "
         "finishing the wave and reporting a failure table",
     )
-    _add_backend_flag(parser)
     _add_transport_flag(parser)
 
 
@@ -116,19 +115,6 @@ def _add_transport_flag(parser: argparse.ArgumentParser) -> None:
         "parent maps them lazily), or 'auto' (shm when --jobs > 1); "
         "results are byte-identical across transports and the choice "
         "never affects cache keys",
-    )
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mem-backend",
-        choices=("auto", "python", "compiled"),
-        default="auto",
-        help="memory-timing kernel backend: 'python' (pure numpy SoA "
-        "reference), 'compiled' (numba-jitted when installed, else the "
-        "interpreted fallback), or 'auto' (compiled when numba imports, "
-        "python otherwise); results are byte-identical across backends "
-        "and the choice never affects cache keys",
     )
 
 
@@ -373,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "writes this to $GITHUB_STEP_SUMMARY)",
     )
     perf_parser.add_argument("--verbose", action="store_true")
-    _add_backend_flag(perf_parser)
 
     golden_parser = subparsers.add_parser(
         "golden",
@@ -397,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write {python, scenarios: {name: sha256}} JSON to FILE",
     )
-    _add_backend_flag(golden_parser)
 
     lint_parser = subparsers.add_parser(
         "lint",
@@ -470,7 +454,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         cache_dir=args.cache_dir,
         validate_every=getattr(args, "validate_every", 0),
         policies=getattr(args, "policy", None),
-        mem_backend=getattr(args, "mem_backend", "auto"),
         retries=getattr(args, "retries", 1),
         run_timeout=getattr(args, "run_timeout", None),
         fail_fast=getattr(args, "fail_fast", False),
@@ -702,15 +685,11 @@ def _perf(args: argparse.Namespace) -> int:
 
     progress = print if args.verbose else None
     payload = run_kernel_benchmark(
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=progress,
-        backend=args.mem_backend,
+        quick=args.quick, repeats=args.repeats, progress=progress
     )
     for scenario in payload["scenarios"]:
         print(
             f"{scenario['name']:<8}"
-            f"{scenario['backend']:<10}"
             f"{scenario['events']:>10,} events  "
             f"{scenario['events_per_sec']:>11,.0f} events/sec  "
             f"{scenario['requests_per_sec']:>10,.0f} requests/sec"
@@ -786,7 +765,7 @@ def _golden(args: argparse.Namespace) -> int:
 
     from repro.sim.golden import check_against_blobs, golden_digests
 
-    digests = golden_digests(mem_backend=args.mem_backend)
+    digests = golden_digests()
     for name, digest in sorted(digests.items()):
         print(f"{name:<16} sha256:{digest}")
     if args.out is not None:
@@ -803,7 +782,7 @@ def _golden(args: argparse.Namespace) -> int:
         )
         print(f"wrote {args.out}")
     if args.check is not None:
-        problems = check_against_blobs(args.check, mem_backend=args.mem_backend)
+        problems = check_against_blobs(args.check)
         if problems:
             for name, problem in sorted(problems.items()):
                 print(f"GOLDEN MISMATCH: {name}: {problem}", file=sys.stderr)

@@ -46,12 +46,6 @@ SWAP_STYLES = ("fast", "slow", "smart", "noswap")
 #: subset of :data:`repro.cache.sets.REPLACEMENT_POLICIES`.
 STC_REPLACEMENTS = ("lru", "fifo", "random", "lru-lip", "lfu")
 
-#: Memory-timing kernel backends (DESIGN.md §14).  ``auto`` resolves to
-#: ``compiled`` when numba imports cleanly and ``python`` otherwise;
-#: both backends produce byte-identical results, so the choice is
-#: excluded from :meth:`SystemConfig.cache_token`.
-MEM_BACKENDS = ("auto", "python", "compiled")
-
 
 @dataclass(frozen=True)
 class MemTimings:
@@ -476,28 +470,20 @@ class SystemConfig:
     #: Capacity divisor relative to the paper system (bookkeeping only;
     #: presets apply it to M1 capacity, trace modules apply it to footprints).
     scale: int = 1
-    #: Memory-timing kernel backend (:data:`MEM_BACKENDS`).  Both
-    #: backends are byte-identical, so this never enters
-    #: :meth:`cache_token` (see DESIGN.md §14).
-    mem_backend: str = "auto"
 
     #: Reviewed record of every field :meth:`cache_token` excludes from
     #: the content hash (enforced by lint rule K401; stale entries are
     #: K402).  An entry asserts the field cannot change simulation
     #: results: ``axes`` is omitted only while it holds inherit-defaults
-    #: (any real value re-enters the digest), and ``mem_backend`` selects
-    #: between byte-identical kernels (CI backend-parity job).  Amending
-    #: this tuple is a reviewed decision — see DESIGN.md §16.
-    _CACHE_NEUTRAL_FIELDS = ("axes", "mem_backend")
+    #: (any real value re-enters the digest).  Amending this tuple is a
+    #: reviewed decision — see DESIGN.md §16.
+    _CACHE_NEUTRAL_FIELDS = ("axes",)
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
-        if self.mem_backend not in MEM_BACKENDS:
-            raise ConfigError(
-                f"mem_backend must be one of {MEM_BACKENDS}, "
-                f"got {self.mem_backend!r}"
-            )
+        if self.frfcfs_cap < 1:
+            raise ConfigError("frfcfs_cap must be >= 1")
         if self.num_channels < 1:
             raise ConfigError("num_channels must be >= 1")
         if self.hybrid.num_regions <= self.num_cores:
@@ -572,11 +558,6 @@ class SystemConfig:
         assert isinstance(value, dict)
         if value["axes"] == canonical_value(PolicyAxesConfig()):
             del value["axes"]
-        # The mem backend is a performance choice with byte-identical
-        # output (enforced by the CI backend-parity job); it never
-        # affects results, so it is excluded unconditionally and cached
-        # results transfer across backends.
-        del value["mem_backend"]
         return canonical_digest(value)
 
     def tunables(self) -> dict[str, object]:

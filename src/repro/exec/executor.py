@@ -281,9 +281,9 @@ class Executor:
             raise InvalidValueError("jobs must be >= 1")
         if run_timeout is not None and run_timeout <= 0:
             raise InvalidValueError("run_timeout must be > 0 (or None)")
-        # Validate the name eagerly; `auto` resolves per wave.  Like
-        # `mem_backend`, transport is an execution detail: it never
-        # enters cache keys and never changes result bytes.
+        # Validate the name eagerly; `auto` resolves per wave.  The
+        # transport is an execution detail: it never enters cache keys
+        # and never changes result bytes.
         resolve_transport(transport, jobs)
         self.jobs = jobs
         self.transport = transport

@@ -28,10 +28,9 @@ raises :class:`FrameCorruptionError`, which the executor classifies as a
 *transient* fault (the simulation itself is fine; only this copy of the
 result is damaged) and re-attempts under the retry policy.
 
-Transport choice is an execution detail, never a result detail: like
-``mem_backend`` it is excluded from cache keys, and the pickle and shm
-paths are byte-identical by contract (the chaos and parity suites assert
-it).
+Transport choice is an execution detail, never a result detail: it is
+excluded from cache keys, and the pickle and shm paths are
+byte-identical by contract (the chaos and parity suites assert it).
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ class ExperimentRunner:
         cache_dir: Optional[str | Path] = None,
         validate_every: int = 0,
         policies: Optional[Sequence[str]] = None,
-        mem_backend: str = "auto",
         retries: int = 0,
         run_timeout: Optional[float] = None,
         fail_fast: bool = False,
@@ -105,11 +104,6 @@ class ExperimentRunner:
             if policies
             else None
         )
-        #: Memory-timing kernel backend baked into every config this
-        #: runner builds ("auto"/"python"/"compiled").  Excluded from
-        #: ``SystemConfig.cache_token()``, so switching backends reuses
-        #: cached results — the backends are byte-identical by contract.
-        self.mem_backend = mem_backend
         self.cache = (
             ResultCache(cache_dir) if cache_dir is not None else None
         )
@@ -131,8 +125,8 @@ class ExperimentRunner:
             self.journal.replay() if resume and self.journal else None
         )
         #: Result transport ("auto"/"pickle"/"shm"), forwarded to the
-        #: executor.  Like mem_backend: an execution detail, excluded
-        #: from cache keys, byte-identical by contract.
+        #: executor.  An execution detail: excluded from cache keys,
+        #: byte-identical by contract.
         self.transport = transport
         self.executor = Executor(
             jobs=jobs,
@@ -162,15 +156,11 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def quad_config(self, **overrides) -> SystemConfig:
         """The multi-program system (Table 8), at this runner's scale."""
-        config = paper_quad_core(scale=self.scale)
-        overrides.setdefault("mem_backend", self.mem_backend)
-        return replace(config, **overrides)
+        return replace(paper_quad_core(scale=self.scale), **overrides)
 
     def single_config(self, **overrides) -> SystemConfig:
         """The single-program system (Section 4.1), at this runner's scale."""
-        config = paper_single_core(scale=self.scale)
-        overrides.setdefault("mem_backend", self.mem_backend)
-        return replace(config, **overrides)
+        return replace(paper_single_core(scale=self.scale), **overrides)
 
     # ------------------------------------------------------------------
     # Traces

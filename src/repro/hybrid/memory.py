@@ -127,7 +127,6 @@ class HybridMemoryController:
         track_rsm_regions: bool = False,
         rng: Optional[np.random.Generator] = None,
         program_of_core: Optional[list[int]] = None,
-        mem_backend: Optional[str] = None,
     ) -> None:
         self.config = config
         self.events = events
@@ -159,7 +158,6 @@ class HybridMemoryController:
                 swap_latency=swap_latency,
                 lines_per_block=config.hybrid.lines_per_block,
                 row_idle_close=cpu_cycles_from_ns(config.row_idle_close_ns),
-                backend=mem_backend if mem_backend is not None else config.mem_backend,
             )
             for _ in range(config.num_channels)
         ]

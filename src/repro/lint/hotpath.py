@@ -37,14 +37,12 @@ HOT_CLASSES: frozenset[str] = frozenset(
         "repro.hybrid.memory._PendingFetch",
         "repro.hybrid.st.SwapGroupTable",
         "repro.hybrid.st_entry.STEntry",
-        "repro.mem.bank.Bank",
         "repro.mem.batch.RequestBatch",
         "repro.mem.channel.Channel",
         "repro.mem.channel.ChannelStats",
         "repro.mem.channel.ModuleState",
         "repro.mem.request.DeviceAddress",
         "repro.mem.request.MemRequest",
-        "repro.mem.scheduler.FrFcfsCapScheduler",
         "repro.policies.base.AccessContext",
         "repro.traces.decode.DecodedChunk",
         "repro.traces.decode.TraceDecoder",
@@ -63,15 +61,10 @@ HOT_FUNCTIONS: frozenset[str] = frozenset(
         "repro.cpu.core_model.TraceCore._refill",
         "repro.hybrid.memory.HybridMemoryController._serve",
         "repro.hybrid.memory.HybridMemoryController.access",
-        "repro.mem.backend.mem_tick",
         "repro.mem.batch.RequestBatch.push",
-        "repro.mem.batch.RequestBatch.pop_at",
-        "repro.mem.channel.Channel._tick_kernel",
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue",
         "repro.mem.channel.Channel.enqueue_soa",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select_batched",
     }
 )
 
@@ -82,12 +75,8 @@ HOT_FUNCTIONS: frozenset[str] = frozenset(
 #: (All of these are also H203 hot functions.)
 HOT_BATCH_FUNCTIONS: frozenset[str] = frozenset(
     {
-        "repro.mem.backend.mem_tick",
-        "repro.mem.batch.RequestBatch.pop_at",
         "repro.mem.batch.RequestBatch.push",
-        "repro.mem.channel.Channel._tick_kernel",
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue_soa",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select_batched",
     }
 )

@@ -5,31 +5,24 @@ modified DRAMSim2: banks with open-page row buffers, a shared per-channel
 data bus, FR-FCFS-Cap scheduling, channel-blocking 2-KB swaps, and an
 activate/burst/background energy model.
 
-The channel hot path is columnar (structure-of-arrays) with a pluggable
-tick backend — see :mod:`repro.mem.batch` and :mod:`repro.mem.backend`
-and DESIGN.md §14.
+The channel hot path is columnar (structure-of-arrays) with one fused
+tick per scheduling decision — see :mod:`repro.mem.batch` and
+DESIGN.md §14.
 """
 
 from repro.mem.request import DeviceAddress, MemRequest, Module, RequestKind
-from repro.mem.backend import compiled_available, resolve_backend
-from repro.mem.bank import Bank
 from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.channel import Channel
 from repro.mem.power import EnergyMeter
-from repro.mem.scheduler import FrFcfsCapScheduler
 
 __all__ = [
-    "Bank",
     "BankView",
     "Channel",
     "DeviceAddress",
     "EnergyMeter",
-    "FrFcfsCapScheduler",
     "MemRequest",
     "Module",
     "NO_ROW",
     "RequestBatch",
     "RequestKind",
-    "compiled_available",
-    "resolve_backend",
 ]

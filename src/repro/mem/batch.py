@@ -13,14 +13,12 @@ module holds the replacement layout (DESIGN.md §14):
 * Bank state lives in four channel-owned ``int64`` arrays indexed by a
   *global bank key* (``module * banks_per_rank + bank``); the channel
   binds :class:`memoryview` fast views for scalar access and keeps the
-  numpy arrays for vectorized refresh and deep-queue scans.
+  numpy arrays for the vectorized all-bank refresh.
 * :class:`BankView` — a read-only window onto one bank's slice of those
   arrays, preserving the ``Channel.bank()`` inspection API.
 
-The same columns are handed zero-copy to the optional compiled kernel
-(:mod:`repro.mem.backend`); both backends therefore share one source of
-truth for queue and bank state, which is what makes ``profess golden``
-byte-identity across backends possible.
+Dequeue and slot recycling are inlined in the channel's fused tick
+(``Channel._tick_python``), the only consumer of a popped entry.
 """
 
 from __future__ import annotations
@@ -50,9 +48,8 @@ class RequestBatch:
     results — only ``order`` does.
 
     Scalar hot-path access goes through the bound ``*_v`` memoryviews
-    (plain buffer indexing, no numpy scalar boxing); vectorized scans
-    and the compiled kernel use the numpy arrays directly.  Both alias
-    the same memory.
+    (plain buffer indexing, no numpy scalar boxing); the numpy arrays
+    alias the same memory and back growth.
     """
 
     __slots__ = (
@@ -147,29 +144,6 @@ class RequestBatch:
         self.order_v[count] = slot
         self.count = count + 1
         return slot
-
-    def pop_at(self, position: int) -> int:
-        """Remove the entry at arrival-order ``position``; returns its slot.
-
-        The slot's columns stay valid until :meth:`release` recycles it —
-        the channel reads them after dequeueing, exactly as the old code
-        read the popped ``MemRequest``.
-        """
-        order = self.order_v
-        slot = order[position]
-        last = self.count - 1
-        index = position
-        while index < last:
-            order[index] = order[index + 1]
-            index += 1
-        self.count = last
-        return slot
-
-    def release(self, slot: int) -> None:
-        """Recycle a slot previously returned by :meth:`pop_at`."""
-        self.callbacks[slot] = None
-        self.origins[slot] = None
-        self.free.append(slot)
 
 
 class BankView:

@@ -12,16 +12,14 @@ Swaps block the channel for the analytic swap latency (Section 4.1), and
 row-buffer hits do not bypass the FR-FCFS-Cap ordering across a swap (the
 paper modifies the scheduler to ignore row hits during swaps).
 
-Since the columnar refactor (DESIGN.md §14) the channel holds its queues
-as :class:`repro.mem.batch.RequestBatch` columns and its bank state as
-four ``int64`` arrays indexed by the global bank key
-``module * banks_per_rank + bank``.  Each scheduling decision is one
-*fused tick* — selection, dequeue, refresh catch-up, timing update, and
-burst in a single pass over those columns — with two interchangeable
-implementations: ``_tick_python`` (memoryview scalar access, vectorized
-deep-queue scan) and ``_tick_kernel`` (the :mod:`repro.mem.backend`
-kernel, numba-jitted when available).  Both are byte-identical by
-contract; ``profess golden --check`` under each backend enforces it.
+The channel holds its queues as :class:`repro.mem.batch.RequestBatch`
+columns and its bank state as four ``int64`` arrays indexed by the
+global bank key ``module * banks_per_rank + bank``.  Each scheduling
+decision is one *fused tick* (``_tick_python``, DESIGN.md §14): queue
+choice, FR-FCFS-Cap selection, dequeue, refresh catch-up, timing update,
+and burst in a single scalar pass over those columns.  The tick is the
+simulator's only FR-FCFS-Cap implementation; the test suite checks it
+in lockstep against a scalar reference scheduler.
 """
 
 from __future__ import annotations
@@ -34,11 +32,9 @@ import numpy as np
 
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
-from repro.mem.backend import get_tick_kernel, resolve_backend
 from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.power import EnergyMeter
 from repro.mem.request import MemRequest, Module
-from repro.mem.scheduler import FrFcfsCapScheduler
 
 # Module-level spellings of the channel's tuning constants: the tick
 # paths read them as globals (one dict probe) instead of class-attribute
@@ -47,7 +43,6 @@ _CMD_GAP = 4
 _WRITE_QUEUE_HIGH = 24
 _WRITE_QUEUE_LOW = 8
 _WRITE_QUEUE_CAP = 32
-_VECTOR_SCAN_MIN = 64
 
 
 class ChannelStats:
@@ -129,7 +124,8 @@ class Channel:
         "_events",
         "_schedule_now",
         "_modules",
-        "_scheduler",
+        "_streak",
+        "_cap",
         "_energy",
         "_swap_latency",
         "_lines_per_block",
@@ -150,12 +146,7 @@ class Channel:
         "_ready_at_v",
         "_dirty_v",
         "_closed_until_v",
-        "_timing_table",
-        "_backend",
         "_tick_cb",
-        "_kernel",
-        "_kernel_out",
-        "_kernel_out_v",
         "stats",
     )
 
@@ -170,19 +161,21 @@ class Channel:
         swap_latency: int = 0,
         lines_per_block: int = 32,
         row_idle_close: int = 0,
-        backend: str = "python",
     ) -> None:
         self._events = events
         # Same-cycle scheduling fast lane (the kick and posted-write
-        # acceptance below always fire at the current cycle) plus the
-        # general scheduler, both bound once for the tick paths.
+        # acceptance below always fire at the current cycle), bound once
+        # for the enqueue and tick paths.
         self._schedule_now = events.schedule_now
         # Indexed by Module (IntEnum): _modules[Module.M1] is the M1 state.
         self._modules = (
             ModuleState(m1_timings, banks_per_rank, 0),
             ModuleState(m2_timings, banks_per_rank, banks_per_rank),
         )
-        self._scheduler = FrFcfsCapScheduler(frfcfs_cap)
+        # FR-FCFS-Cap state (Section 4.1): consecutive row hits served,
+        # and the cap after which the oldest request issues regardless.
+        self._streak = 0
+        self._cap = frfcfs_cap
         self._energy = energy
         self._swap_latency = swap_latency
         self._lines_per_block = lines_per_block
@@ -190,7 +183,7 @@ class Channel:
         self._banks_per_rank = banks_per_rank
         # Columnar bank state, both modules back to back: key =
         # module * banks_per_rank + bank.  Scalar access goes through
-        # the memoryviews; refresh and deep scans use the arrays.
+        # the memoryviews; refresh uses the arrays.
         total_banks = 2 * banks_per_rank
         self._open_row = np.full(total_banks, NO_ROW, dtype=np.int64)
         self._ready_at = np.zeros(total_banks, dtype=np.int64)
@@ -207,31 +200,9 @@ class Channel:
         self._bus_free_at = 0
         self._blocked_until = 0
         self._tick_scheduled = False
-        # Per-module timing table for the compiled kernel (column
-        # layout: repro.mem.backend.TIMING_*).
-        self._timing_table = np.array(
-            [
-                [ms.cl, ms.t_rcd, ms.t_rp, ms.t_wr, ms.line_burst, ms.t_rfc,
-                 ms.t_refi]
-                for ms in self._modules
-            ],
-            dtype=np.int64,
-        )
-        self._backend = resolve_backend(backend)
-        if self._backend == "compiled":
-            self._kernel = get_tick_kernel()
-            self._tick_cb = self._tick_kernel
-        else:
-            self._kernel = None
-            self._tick_cb = self._tick_python
-        self._kernel_out = np.zeros(16, dtype=np.int64)
-        self._kernel_out_v = memoryview(self._kernel_out)
+        # The tick, bound once: every kick and reschedule reuses it.
+        self._tick_cb = self._tick_python
         self.stats = ChannelStats()
-
-    @property
-    def backend(self) -> str:
-        """The resolved tick backend ("python" or "compiled")."""
-        return self._backend
 
     def bank(self, module: Module, index: int) -> BankView:
         """One bank's state (inspection helper for tests and policies)."""
@@ -342,43 +313,19 @@ class Channel:
     WRITE_QUEUE_LOW = _WRITE_QUEUE_LOW
     #: Posted-write acceptance backpressures beyond this depth.
     WRITE_QUEUE_CAP = _WRITE_QUEUE_CAP
-    #: Queue depth at which the FR-FCFS scan switches from the scalar
-    #: memoryview walk to one vectorized numpy pass.  The scalar walk
-    #: exits at the first hit, so the numpy fixed cost only pays off on
-    #: deep queues; ordinary write-drain bursts (depth <= 32) measure
-    #: faster scalar.
-    VECTOR_SCAN_MIN = _VECTOR_SCAN_MIN
-
-    def _select_queue(self) -> RequestBatch:
-        """Pick reads or buffered writes for the next decision.
-
-        Only called from the tick paths with a non-empty write queue;
-        kept as a method for the watermark logic's readability and for
-        direct unit testing.
-        """
-        if not self._reads.count:
-            self._draining_writes = True
-            return self._writes
-        if self._writes.count >= self.WRITE_QUEUE_HIGH:
-            self._draining_writes = True
-        elif self._draining_writes and self._writes.count <= self.WRITE_QUEUE_LOW:
-            self._draining_writes = False
-        return self._writes if self._draining_writes else self._reads
 
     def _tick_python(self, now: int) -> None:
-        """One fused scheduling decision: the pure-Python backend.
+        """One fused scheduling decision.
 
-        Selection, dequeue, refresh catch-up, bank timing, stats, and
-        completion scheduling in a single pass — no per-request objects,
-        no nested per-event calls.  Mirrored exactly by the compiled
-        kernel (:func:`repro.mem.backend.mem_tick`).
+        Queue choice, FR-FCFS-Cap selection, dequeue, refresh catch-up,
+        bank timing, stats, and completion scheduling in a single pass —
+        no per-request objects, no nested per-event calls.
         """
         self._tick_scheduled = False
         reads = self._reads
         writes = self._writes
         if writes.count:
-            # _select_queue, inlined (kept as a method for unit tests):
-            # the read-priority write-drain watermark policy.
+            # The read-priority write-drain watermark policy.
             if not reads.count or writes.count >= _WRITE_QUEUE_HIGH:
                 self._draining_writes = True
                 queue = writes
@@ -390,8 +337,8 @@ class Channel:
                     self._draining_writes = False
                 queue = writes if self._draining_writes else reads
         elif reads.count:
-            # Fast path: no buffered writes — reads drain, and any write
-            # drain mode ends (exactly what _select_queue would decide).
+            # No buffered writes: reads drain, and any write drain
+            # mode ends.
             self._draining_writes = False
             queue = reads
         else:
@@ -401,46 +348,24 @@ class Channel:
         rows = queue.row_v
         open_row = self._open_row_v
         count = queue.count
-        scheduler = self._scheduler
-        streak = scheduler._consecutive_hits
-        # --- FR-FCFS-Cap selection (pre-refresh bank state) ---
-        if count == 1:
-            chosen = 0
-            slot = order[0]
-            if open_row[keys[slot]] == rows[slot]:
-                scheduler._consecutive_hits = streak + 1
-            else:
-                scheduler._consecutive_hits = 0
-        else:
-            chosen = -1
-            if streak < scheduler.cap:
-                if count >= _VECTOR_SCAN_MIN:
-                    live = queue.order[:count]
-                    hits = (
-                        self._open_row[queue.bank_key[live]]
-                        == queue.row[live]
-                    )
-                    first = hits.argmax()
-                    if hits[first]:
-                        chosen = int(first)
-                else:
-                    index = 0
-                    while index < count:
-                        slot = order[index]
-                        if open_row[keys[slot]] == rows[slot]:
-                            chosen = index
-                            break
-                        index += 1
-            if chosen >= 0:
-                scheduler._consecutive_hits = streak + 1
-            else:
-                chosen = 0
-                slot = order[0]
-                if open_row[keys[slot]] == rows[slot]:
-                    scheduler._consecutive_hits = streak + 1
-                else:
-                    scheduler._consecutive_hits = 0
-            slot = order[chosen]
+        # --- FR-FCFS-Cap selection (pre-refresh bank state): the oldest
+        # row hit while the hit streak is under the cap, else the oldest
+        # request.  Production queues stay shallow (DESIGN.md §14), so a
+        # scalar walk that stops at the first hit is all it takes. ---
+        chosen = 0
+        slot = order[0]
+        hit = open_row[keys[slot]] == rows[slot]
+        if not hit and self._streak < self._cap:
+            index = 1
+            while index < count:
+                candidate = order[index]
+                if open_row[keys[candidate]] == rows[candidate]:
+                    chosen = index
+                    slot = candidate
+                    hit = True
+                    break
+                index += 1
+        self._streak = self._streak + 1 if hit else 0
         # --- dequeue: shift the arrival order over the gap ---
         last = count - 1
         index = chosen
@@ -563,124 +488,7 @@ class Channel:
             _heappush(heap, (burst_end, seq, callback))
             events._seq = seq + 1
             callbacks[slot] = None
-        # RequestBatch.release, inlined (origins/callbacks cleared only
-        # when set — the SoA fast path leaves both None).
-        queue.free.append(slot)
-        if reads.count or writes.count:
-            self._tick_scheduled = True
-            seq = events._seq
-            _heappush(heap, (now + _CMD_GAP, seq, self._tick_cb))
-            events._seq = seq + 1
-
-    def _tick_kernel(self, now: int) -> None:
-        """One fused scheduling decision via the compiled backend.
-
-        Queue choice, stats, and callback scheduling stay in Python;
-        the integer-only core (selection, dequeue, refresh, timing) runs
-        in :func:`repro.mem.backend.mem_tick` over the shared columns.
-        """
-        self._tick_scheduled = False
-        reads = self._reads
-        writes = self._writes
-        if writes.count:
-            queue = self._select_queue()
-        elif reads.count:
-            self._draining_writes = False
-            queue = reads
-        else:
-            return
-        scheduler = self._scheduler
-        modules = self._modules
-        out = self._kernel_out
-        self._kernel(
-            queue.order,
-            queue.count,
-            queue.bank_key,
-            queue.row,
-            queue.is_write,
-            self._open_row,
-            self._ready_at,
-            self._dirty,
-            self._closed_until,
-            self._timing_table,
-            self._banks_per_rank,
-            scheduler._consecutive_hits,
-            scheduler.cap,
-            now,
-            self._bus_free_at,
-            self._blocked_until,
-            modules[0].next_refresh,
-            modules[1].next_refresh,
-            self._row_idle_close,
-            out,
-        )
-        out_v = self._kernel_out_v
-        slot = out_v[0]
-        module = out_v[1]
-        burst_end = out_v[2]
-        row_hit = bool(out_v[3])
-        refreshes = out_v[5]
-        scheduler._consecutive_hits = out_v[6]
-        self._bus_free_at = out_v[7]
-        modules[module].next_refresh = out_v[8]
-        queue.count -= 1
-        if (
-            self._write_accept_waiters
-            and writes.count <= self.WRITE_QUEUE_CAP
-        ):
-            self._schedule_now(self._write_accept_waiters.popleft())
-        stats = self.stats
-        energy = self._energy
-        if refreshes:
-            stats.refreshes += refreshes
-            if energy is not None:
-                index = 0
-                while index < refreshes:
-                    energy.record_refresh()
-                    index += 1
-        if out_v[4] and energy is not None:
-            energy.activates[module] += 1
-        is_write = queue.is_write_v[slot]
-        kind = queue.kind_v[slot]
-        if kind == 0:  # RequestKind.DATA
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-                stats.read_latency_sum += burst_end - queue.arrival_v[slot]
-                stats.read_count += 1
-        else:
-            if kind == 1:  # RequestKind.ST_READ
-                stats.st_reads += 1
-            else:
-                stats.st_writes += 1
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-        if row_hit:
-            stats.row_hits += 1
-        if energy is not None:
-            counters = energy.line_writes if is_write else energy.line_reads
-            counters[module] += 1
-        origins = queue.origins
-        origin = origins[slot]
-        if origin is not None:
-            origin.completion = burst_end
-            origin.row_hit = row_hit
-            origins[slot] = None
-        callbacks = queue.callbacks
-        callback = callbacks[slot]
-        # Inline-push contract (events.py): both targets are strictly
-        # future cycles, same as the python tick.
-        events = self._events
-        heap = events._heap
-        if callback is not None:
-            seq = events._seq
-            _heappush(heap, (burst_end, seq, callback))
-            events._seq = seq + 1
-            callbacks[slot] = None
-        # RequestBatch.release, inlined (origins/callbacks cleared only
+        # Recycle the slot (origins/callbacks were cleared above only
         # when set — the SoA fast path leaves both None).
         queue.free.append(slot)
         if reads.count or writes.count:
@@ -745,7 +553,7 @@ class Channel:
         self._open_row_v[m2_key] = m2_row
         self._ready_at_v[m2_key] = end
         self._dirty_v[m2_key] = 1
-        self._scheduler.reset_streak()
+        self._streak = 0
         self.stats.swaps += 1
         if self._energy is not None:
             lines = self._lines_per_block

@@ -46,11 +46,7 @@ class BenchScenario:
     programs: tuple[tuple[str, int, int], ...]
     quad: bool
 
-    def build_driver(
-        self,
-        profile: Optional[KernelProfile] = None,
-        mem_backend: Optional[str] = None,
-    ):
+    def build_driver(self, profile: Optional[KernelProfile] = None):
         """A fresh driver for this scenario (imports deferred: CLI startup)."""
         from repro.sim.engine import SimulationDriver
         from repro.traces.generator import synthesize_trace
@@ -61,12 +57,7 @@ class BenchScenario:
             for program, requests, seed in self.programs
         ]
         return SimulationDriver(
-            config,
-            self.policy,
-            traces,
-            seed=0,
-            profile=profile,
-            mem_backend=mem_backend,
+            config, self.policy, traces, seed=0, profile=profile
         )
 
 
@@ -104,12 +95,10 @@ class KernelBenchResult:
     wall_seconds: float
     events_per_sec: float
     requests_per_sec: float
-    backend: str = "python"
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "backend": self.backend,
             "events": self.events,
             "requests": self.requests,
             "cycles": self.cycles,
@@ -123,18 +112,17 @@ def run_scenario(
     scenario: BenchScenario,
     repeats: int = 3,
     progress: Optional[Callable[[str], None]] = None,
-    mem_backend: str = "python",
 ) -> KernelBenchResult:
     """Run one scenario ``repeats`` times; report the fastest repeat."""
     best: Optional[KernelProfile] = None
     for repeat in range(repeats):
         profile = KernelProfile()
-        scenario.build_driver(profile, mem_backend=mem_backend).run()
+        scenario.build_driver(profile).run()
         if best is None or profile.events_per_sec > best.events_per_sec:
             best = profile
         if progress is not None:
             progress(
-                f"  {scenario.name} [{mem_backend}] "
+                f"  {scenario.name} "
                 f"repeat {repeat + 1}/{repeats}: "
                 f"{profile.events_per_sec:,.0f} events/sec"
             )
@@ -147,46 +135,20 @@ def run_scenario(
         wall_seconds=best.wall_seconds,
         events_per_sec=best.events_per_sec,
         requests_per_sec=best.requests_per_sec,
-        backend=mem_backend,
     )
-
-
-def benchmark_backends(backend: str = "auto") -> list[str]:
-    """The backend list one ``profess perf`` invocation measures.
-
-    ``auto`` always measures the pure-python reference and adds a
-    ``compiled`` row only when numba actually imports (an interpreted
-    "compiled" row would measure the fallback, not the jit).  An explicit
-    backend measures exactly that backend.
-    """
-    from repro.mem.backend import compiled_available
-
-    if backend == "auto":
-        backends = ["python"]
-        if compiled_available():
-            backends.append("compiled")
-        return backends
-    return [backend]
 
 
 def run_kernel_benchmark(
     quick: bool = False,
     repeats: int = 3,
     progress: Optional[Callable[[str], None]] = None,
-    backend: str = "auto",
 ) -> dict:
     """Run the standard benchmark; returns the ``BENCH_kernel.json`` payload."""
     import numpy
 
-    from repro.mem.backend import compiled_available
-
-    backends = benchmark_backends(backend)
     results = [
-        run_scenario(
-            scenario, repeats=repeats, progress=progress, mem_backend=name
-        )
+        run_scenario(scenario, repeats=repeats, progress=progress)
         for scenario in standard_scenarios(quick=quick)
-        for name in backends
     ]
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -195,7 +157,6 @@ def run_kernel_benchmark(
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": platform.machine(),
-        "compiled_available": compiled_available(),
         "scenarios": [result.to_dict() for result in results],
     }
 
@@ -274,30 +235,16 @@ def markdown_summary(payload: dict, baseline: Optional[dict] = None) -> str:
         f"({mode}, best of {payload.get('repeats', '?')} repeats, "
         f"Python {payload.get('python', '?')})",
         "",
-        "| scenario | backend | events/sec | requests/sec "
+        "| scenario | events/sec | requests/sec "
         "| baseline events/sec | delta |",
-        "| --- | --- | ---: | ---: | ---: | ---: |",
+        "| --- | ---: | ---: | ---: | ---: |",
     ]
-    # The baseline is keyed on python-backend rows (pre-backend baselines
-    # carry no "backend" key at all, which means python).
     baseline_rates = {
         scenario["name"]: scenario["events_per_sec"]
         for scenario in (baseline or {}).get("scenarios", [])
-        if scenario.get("backend", "python") == "python"
     }
-    python_rates: dict[str, float] = {}
-    compiled_rates: dict[str, float] = {}
     for scenario in payload.get("scenarios", []):
-        backend = scenario.get("backend", "python")
-        if backend == "python":
-            python_rates[scenario["name"]] = scenario["events_per_sec"]
-        elif backend == "compiled":
-            compiled_rates[scenario["name"]] = scenario["events_per_sec"]
-        reference = (
-            baseline_rates.get(scenario["name"])
-            if backend == "python"
-            else None
-        )
+        reference = baseline_rates.get(scenario["name"])
         if reference:
             baseline_cell = f"{reference:,.0f}"
             delta_cell = f"{scenario['events_per_sec'] / reference:.2f}x"
@@ -309,18 +256,10 @@ def markdown_summary(payload: dict, baseline: Optional[dict] = None) -> str:
         )
         lines.append(
             f"| {scenario['name']} "
-            f"| {backend} "
             f"| {scenario['events_per_sec']:,.0f} "
             f"| {requests_cell} "
             f"| {baseline_cell} | {delta_cell} |"
         )
-    speedups = [
-        f"{name} {compiled_rates[name] / python_rates[name]:.2f}x"
-        for name in python_rates
-        if name in compiled_rates and python_rates[name] > 0
-    ]
-    if speedups:
-        lines += ["", "Compiled-vs-python speedup: " + ", ".join(speedups)]
     decode = payload.get("decode")
     if decode:
         lines += [
@@ -347,11 +286,9 @@ def compare_to_baseline(
     baseline's; scenarios missing from the baseline are skipped (adding a
     scenario must not fail CI until the baseline is re-recorded).
     Comparisons are only meaningful between runs of the same mode
-    (``quick`` vs full), which is also checked.  Only ``python``-backend
-    rows are gated: the pure-python reference is the floor every machine
-    can reproduce, while compiled rows depend on whether numba is
-    installed (rows without a ``backend`` key predate backends and mean
-    python).
+    (``quick`` vs full), which is also checked.  Rows match by ``name``
+    alone; other row keys (older files carry ``"backend": "python"``)
+    are ignored.
     """
     failures: list[str] = []
     if bool(payload.get("quick")) != bool(baseline.get("quick")):
@@ -363,11 +300,8 @@ def compare_to_baseline(
     baseline_rates = {
         scenario["name"]: scenario["events_per_sec"]
         for scenario in baseline.get("scenarios", [])
-        if scenario.get("backend", "python") == "python"
     }
     for scenario in payload.get("scenarios", []):
-        if scenario.get("backend", "python") != "python":
-            continue
         reference = baseline_rates.get(scenario["name"])
         if reference is None or reference <= 0:
             continue

@@ -10,14 +10,10 @@ Construction goes through the composable registry
     from repro.policies import build_policy
     policy = build_policy("mdm+rsm+stc:lfu", config)
 
-Importing the concrete policy classes from this package
-(``from repro.policies import PoMPolicy``) is deprecated: it bypasses
-axis resolution and canonical naming.  The classes remain importable
-from their defining modules for subclassing.
+The concrete policy classes are not re-exported here: constructing one
+directly bypasses axis resolution and canonical naming.  Import a class
+from its defining module (e.g. :mod:`repro.policies.pom`) to subclass it.
 """
-
-import importlib
-import warnings
 
 from repro.policies.base import AccessContext, MigrationPolicy
 from repro.policies.registry import (
@@ -40,49 +36,6 @@ __all__ = [
     "canonical_policy",
     "guided_bases",
     "iter_registered",
-    "make_policy",
     "register_policy",
     "registry_names",
 ]
-
-#: Deprecated class re-exports -> defining module (one release of
-#: back-compat; the ``__getattr__`` shim below warns on use).
-_DEPRECATED_CLASSES = {
-    "StaticPolicy": "repro.policies.static",
-    "CameoPolicy": "repro.policies.cameo",
-    "PoMPolicy": "repro.policies.pom",
-    "SilcFMPolicy": "repro.policies.silcfm",
-    "MemPodPolicy": "repro.policies.mempod",
-}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED_CLASSES.get(name)
-    if target is None:
-        # Module attribute protocol: must be AttributeError.
-        raise AttributeError(  # repro: noqa[C303]
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    warnings.warn(
-        f"importing {name} from repro.policies is deprecated; construct "
-        f"policies with repro.policies.build_policy(spec, config), or "
-        f"import the class from {target} for subclassing",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(target), name)
-
-
-def make_policy(name: str, config) -> MigrationPolicy:
-    """Deprecated name-based factory; use :func:`build_policy`.
-
-    Accepts every spelling :meth:`~repro.policies.registry.PolicySpec.
-    parse` does (legacy names included) and delegates to the registry.
-    """
-    warnings.warn(
-        "make_policy is deprecated; use repro.policies.build_policy "
-        "(accepts composable specs like 'mdm+rsm+stc:lfu')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_policy(name, config)

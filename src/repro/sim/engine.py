@@ -50,7 +50,6 @@ class SimulationDriver:
         warmup_requests: int = 0,
         profile: Optional["KernelProfile"] = None,
         validate_every: int = 0,
-        mem_backend: Optional[str] = None,
     ) -> None:
         if not traces:
             raise SimulationError("need at least one (name, trace) pair")
@@ -84,7 +83,6 @@ class SimulationDriver:
             seed=seed,
             track_rsm_regions=track_rsm_regions,
             program_of_core=controller_map,
-            mem_backend=mem_backend,
         )
         # One page table per program; threads share their program's
         # virtual address space, sized for the largest thread trace.

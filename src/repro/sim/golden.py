@@ -18,29 +18,23 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict
 
 if TYPE_CHECKING:
     from repro.sim.engine import SimulationDriver
 
 
-def _single_pom_driver(
-    mem_backend: Optional[str] = None,
-) -> "SimulationDriver":
+def _single_pom_driver(_ignored: object = None) -> "SimulationDriver":
     from repro.common.config import paper_single_core
     from repro.sim.engine import SimulationDriver
     from repro.traces.generator import synthesize_trace
 
     config = paper_single_core(scale=128)
     traces = [("zeusmp", synthesize_trace("zeusmp", 1500, scale=128, seed=0))]
-    return SimulationDriver(
-        config, "pom", traces, seed=0, mem_backend=mem_backend
-    )
+    return SimulationDriver(config, "pom", traces, seed=0)
 
 
-def _quad_profess_driver(
-    mem_backend: Optional[str] = None,
-) -> "SimulationDriver":
+def _quad_profess_driver(_ignored: object = None) -> "SimulationDriver":
     from repro.common.config import paper_quad_core
     from repro.sim.engine import SimulationDriver
     from repro.traces.generator import synthesize_trace
@@ -52,14 +46,10 @@ def _quad_profess_driver(
         ("mcf", synthesize_trace("mcf", 800, scale=128, seed=2)),
         ("libquantum", synthesize_trace("libquantum", 800, scale=128, seed=3)),
     ]
-    return SimulationDriver(
-        config, "profess", traces, seed=0, mem_backend=mem_backend
-    )
+    return SimulationDriver(config, "profess", traces, seed=0)
 
 
-def _quad_composed_driver(
-    mem_backend: Optional[str] = None,
-) -> "SimulationDriver":
+def _quad_composed_driver(_ignored: object = None) -> "SimulationDriver":
     """A composed registry spec: ProFess with the LFU STC replacement.
 
     Pins the whole composable-policy path — spec parsing, canonical
@@ -77,40 +67,33 @@ def _quad_composed_driver(
         ("mcf", synthesize_trace("mcf", 600, scale=128, seed=2)),
         ("libquantum", synthesize_trace("libquantum", 600, scale=128, seed=3)),
     ]
-    return SimulationDriver(
-        config, "mdm+rsm+stc:lfu", traces, seed=0, mem_backend=mem_backend
-    )
+    return SimulationDriver(config, "mdm+rsm+stc:lfu", traces, seed=0)
 
 
-#: name -> fresh driver for that scenario.  Each builder takes an
-#: optional memory-timing backend override ("python"/"compiled"/"auto");
-#: the blobs are backend-independent by contract — the CI backend-parity
-#: job regenerates them under both backends and diffs byte-for-byte.
-GOLDEN_SCENARIOS: Dict[
-    str, Callable[[Optional[str]], "SimulationDriver"]
-] = {
+#: name -> fresh driver for that scenario.  A builder accepts and
+#: ignores one optional positional argument (it once carried a
+#: memory-timing backend override), so one-argument callers such as
+#: ``perfbench/tests`` keep working.
+GOLDEN_SCENARIOS: Dict[str, Callable[..., "SimulationDriver"]] = {
     "single_pom": _single_pom_driver,
     "quad_profess": _quad_profess_driver,
     "quad_composed": _quad_composed_driver,
 }
 
 
-def golden_text(name: str, mem_backend: Optional[str] = None) -> str:
+def golden_text(name: str) -> str:
     """Run scenario ``name`` and serialize exactly as the blobs were.
 
     Any drift in values OR in ``to_dict()`` structure changes the text
-    (and therefore the digest).  ``mem_backend`` selects the memory
-    timing kernel; every backend must produce identical text.
+    (and therefore the digest).
     """
-    result = GOLDEN_SCENARIOS[name](mem_backend).run()
+    result = GOLDEN_SCENARIOS[name]().run()
     return json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n"
 
 
-def golden_digest(name: str, mem_backend: Optional[str] = None) -> str:
+def golden_digest(name: str) -> str:
     """SHA-256 of the scenario's canonical serialization."""
-    return hashlib.sha256(
-        golden_text(name, mem_backend).encode("utf-8")
-    ).hexdigest()
+    return hashlib.sha256(golden_text(name).encode("utf-8")).hexdigest()
 
 
 def result_digest(result) -> str:
@@ -128,17 +111,12 @@ def result_digest(result) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def golden_digests(mem_backend: Optional[str] = None) -> Dict[str, str]:
+def golden_digests() -> Dict[str, str]:
     """Digest of every golden scenario (the cross-version CI payload)."""
-    return {
-        name: golden_digest(name, mem_backend)
-        for name in sorted(GOLDEN_SCENARIOS)
-    }
+    return {name: golden_digest(name) for name in sorted(GOLDEN_SCENARIOS)}
 
 
-def check_against_blobs(
-    golden_dir: Path, mem_backend: Optional[str] = None
-) -> Dict[str, str]:
+def check_against_blobs(golden_dir: Path) -> Dict[str, str]:
     """Regenerate every scenario and diff against ``golden_dir`` blobs.
 
     Returns ``{scenario: problem}`` for mismatching or missing blobs
@@ -150,6 +128,6 @@ def check_against_blobs(
         if not blob.exists():
             problems[name] = f"missing blob {blob}"
             continue
-        if golden_text(name, mem_backend) != blob.read_text():
+        if golden_text(name) != blob.read_text():
             problems[name] = f"regenerated result differs from {blob}"
     return problems

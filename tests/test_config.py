@@ -142,6 +142,12 @@ class TestPresets:
         cfg = with_overrides(paper_quad_core(scale=64), frfcfs_cap=2)
         assert cfg.frfcfs_cap == 2
 
+    def test_rejects_frfcfs_cap_below_one(self):
+        # Rejected where the config is built, before any cache token is
+        # minted or a channel is constructed.
+        with pytest.raises(ConfigError, match="frfcfs_cap"):
+            with_overrides(paper_quad_core(scale=64), frfcfs_cap=0)
+
     def test_configs_are_frozen(self):
         cfg = paper_quad_core(scale=64)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -306,6 +306,36 @@ class TestRepoClean:
             f.render() for f in findings
         )
 
+    def test_hot_path_manifest_resolves_in_src_repro(self):
+        # H200 skips entries whose module was not linted, so an entry
+        # naming a deleted module would linger unflagged.  Against an
+        # index of the whole tree every entry must name a definition.
+        from repro.lint.engine import _build_module, discover_files, module_name_for
+        from repro.lint.hotpath import (
+            HOT_BATCH_FUNCTIONS,
+            HOT_CLASSES,
+            HOT_FUNCTIONS,
+        )
+
+        modules = {}
+        for path in discover_files([SRC]):
+            info = _build_module(
+                module_name_for(path), str(path), path.read_text(encoding="utf-8")
+            )
+            modules[info.module] = info
+        unresolved = []
+        for entry in sorted(HOT_CLASSES | HOT_FUNCTIONS | HOT_BATCH_FUNCTIONS):
+            module, _, qualname = entry.rpartition(".")
+            while module and module not in modules:
+                module, _, head = module.rpartition(".")
+                qualname = f"{head}.{qualname}"
+            info = modules.get(module)
+            if info is None or (
+                qualname not in info.classes and entry not in info.functions
+            ):
+                unresolved.append(entry)
+        assert unresolved == []
+
     def test_src_repro_has_no_stale_noqa(self):
         # Every suppression comment in the tree must still match a
         # finding — stale ones get deleted, not accumulated.

@@ -5,7 +5,7 @@ import pytest
 from repro.cache.stc import STCEntry
 from repro.common.config import paper_quad_core
 from repro.hybrid.st_entry import STEntry
-from repro.policies import make_policy
+from repro.policies import build_policy
 from repro.policies.base import AccessContext
 from repro.policies.cameo import CameoPolicy
 from repro.policies.silcfm import SilcFMPolicy
@@ -38,15 +38,15 @@ class TestFactory:
         "name", ["static", "cameo", "pom", "silcfm", "mempod", "mdm", "profess"]
     )
     def test_known_names(self, name):
-        policy = make_policy(name, CONFIG)
+        policy = build_policy(name, CONFIG)
         assert policy.name == name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            make_policy("nope", CONFIG)
+            build_policy("nope", CONFIG)
 
     def test_case_insensitive(self):
-        assert make_policy("PoM", CONFIG).name == "pom"
+        assert build_policy("PoM", CONFIG).name == "pom"
 
 
 class TestStatic:
@@ -100,11 +100,11 @@ class TestSilcFM:
 
 class TestRSMGuidedPoM:
     def test_factory_name(self):
-        policy = make_policy("rsm-pom", CONFIG)
+        policy = build_policy("rsm-pom", CONFIG)
         assert policy.name == "rsm-pom"
 
     def test_inherits_pom_write_weight(self):
-        assert make_policy("rsm-pom", CONFIG).write_weight == 8
+        assert build_policy("rsm-pom", CONFIG).write_weight == 8
 
     def test_case2_vetoes_pom_swap(self):
         from repro.core.rsm_guided import RSMGuidedPoMPolicy

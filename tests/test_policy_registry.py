@@ -12,7 +12,8 @@ Covers the full redesigned surface (repro.policies.registry):
 * cache-key compatibility — pre-redesign ``SystemConfig.cache_token()``
   and ``RunSpec.cache_key()`` values are pinned as constants, and
   equivalent spec spellings collapse to one key;
-* the deprecation shims (``make_policy``, class re-exports);
+* the package surface (no class re-exports; defining modules import
+  silently);
 * the CLI (``--policy`` validation exits 2, ``profess policies``);
 * serial/parallel byte-identity of the ``ext-policy-matrix`` sweep.
 """
@@ -327,19 +328,8 @@ class TestCacheKeyCompatibility:
 
 
 class TestDeprecationShims:
-    def test_make_policy_warns_and_delegates(self):
-        from repro.policies import make_policy
-
-        with pytest.warns(DeprecationWarning, match="build_policy"):
-            policy = make_policy("pom", CONFIG)
-        assert policy.name == "pom"
-
-    def test_class_reexport_warns(self):
-        import repro.policies as policies
-
-        with pytest.warns(DeprecationWarning, match="build_policy"):
-            cls = policies.PoMPolicy
-        assert cls.__name__ == "PoMPolicy"
+    """The package exports no policy classes; their defining modules
+    import without warnings."""
 
     def test_unknown_attribute_is_attribute_error(self):
         import repro.policies as policies

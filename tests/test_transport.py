@@ -235,7 +235,7 @@ class TestTransportParity:
     def test_cache_transfers_across_transports(self, tmp_path, clean_digests):
         # A cache populated under shm must hit under pickle (and vice
         # versa): transport is an execution detail, never a result
-        # detail, exactly like mem_backend.
+        # detail.
         specs = all_specs()
         cold = Executor(jobs=2, transport="shm", cache=ResultCache(tmp_path))
         cold.run_many(specs)
