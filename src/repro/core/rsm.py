@@ -166,13 +166,12 @@ class RSM:
         are its own.  The caller must filter out private-region swaps (the
         paper does not count swaps there).
         """
-        involved = {
-            owner
-            for owner in (owner_promoted, owner_demoted)
-            if owner is not None
-        }
-        for owner in involved:
-            self.counters[owner].num_swap_total += 1
+        # Explicit pair, as in HybridMemoryController.request_promotion:
+        # no set, so neither dedup nor order rests on hashing (D104).
+        if owner_promoted is not None:
+            self.counters[owner_promoted].num_swap_total += 1
+        if owner_demoted is not None and owner_demoted != owner_promoted:
+            self.counters[owner_demoted].num_swap_total += 1
         if (
             owner_promoted is not None
             and owner_promoted == owner_demoted

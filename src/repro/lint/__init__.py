@@ -1,11 +1,10 @@
 """Project-specific static analysis (``profess lint``).
 
 An AST-based pass over the ``repro`` tree enforcing the guarantees the
-test suite can only spot-check at runtime: determinism (D-rules, both
-syntactic and the flow-sensitive D11x taint family), hot-path slimness
-(H-rules, driven by the :mod:`repro.lint.hotpath` manifest), API
-contracts (C-rules), and cache-key soundness (K4xx).  See DESIGN.md
-§11 and §16.
+test suite can only spot-check at runtime: determinism (D-rules),
+hot-path slimness (H-rules, driven by the :mod:`repro.lint.hotpath`
+manifest), API contracts (C-rules), and cache-key soundness (K4xx, the
+one whole-project pass).  See DESIGN.md §11 and §16.
 """
 
 from repro.lint.engine import (

@@ -38,7 +38,8 @@ class LintError(ReproError):
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    """One hop of a dataflow trace (source → propagation → sink)."""
+    """One hop of a finding's evidence chain (e.g. declaration →
+    exclusion → read site for K401)."""
 
     path: str
     line: int
@@ -53,7 +54,7 @@ class Finding:
     unknown); a ``# repro: noqa`` anywhere on the statement's lines
     suppresses the finding, so multi-line statements can carry the
     comment on any of their physical lines.  ``trace`` carries the
-    flow-sensitive evidence chain for dataflow rules (D11x/K4xx).
+    evidence chain of the whole-project cache-key rules (K401/K403).
     """
 
     rule: str
@@ -135,7 +136,7 @@ class ModuleInfo:
     #: Qualified names of every function/method defined in the module.
     functions: set[str] = field(default_factory=set)
     #: Qualified name -> definition node for every function/method (the
-    #: call-summary substrate of the flow analyses).
+    #: call graph K403 walks from the cache-key methods).
     function_nodes: dict[str, ast.FunctionDef] = field(default_factory=dict)
 
 
@@ -629,7 +630,6 @@ def lint_sources(
     show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint in-memory sources: ``{module: (display_path, source)}``."""
-    from repro.lint.flow import check_flow
     from repro.lint.keys import check_keys
     from repro.lint.rules import check_manifest, check_module
 
@@ -673,9 +673,8 @@ def lint_sources(
     raw.extend(
         check_manifest(index, hot_classes, hot_functions | batch_functions)
     )
-    # Whole-project dataflow passes: determinism taint (D11x) and
-    # cache-key soundness (K4xx) both need the complete index.
-    raw.extend(check_flow(index))
+    # Cache-key soundness (K4xx) is a whole-project pass: it needs the
+    # complete index.
     raw.extend(check_keys(index))
 
     # Apply suppressions uniformly, by finding path, then report stale
@@ -770,8 +769,8 @@ def _sarif_location(path: str, line: int, col: int) -> dict[str, object]:
 def render_sarif(findings: Sequence[Finding]) -> dict[str, object]:
     """SARIF 2.1.0 payload for ``profess lint --format sarif``.
 
-    Dataflow traces render as SARIF code flows, so GitHub code scanning
-    shows the full source→sink chain inline.
+    Finding traces (K401/K403) render as SARIF code flows, so GitHub
+    code scanning shows the evidence chain inline.
     """
     from repro.lint.rules import RULES
 

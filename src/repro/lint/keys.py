@@ -88,7 +88,7 @@ _IMPURE_PREFIXES = (
     "secrets.",
 )
 
-#: Trace length cap shared with the flow analysis.
+#: Cap on the hops a K403 trace records.
 _MAX_CHAIN = 8
 
 

@@ -35,19 +35,12 @@ from repro.lint.engine import (
 RULES: dict[str, str] = {
     "D101": "import of the stdlib `random` module outside repro.common.rng",
     "D102": "numpy.random use outside repro.common.rng (seeded substreams only)",
-    "D103": "wall-clock/entropy read (time.time, datetime.now, os.urandom, "
-    "uuid) in a simulation module",
-    "D104": "iteration over a set literal/constructor in a simulation module "
-    "(hash order leaks into results)",
+    "D103": "wall-clock/entropy source (time.time, datetime.now, "
+    "os.urandom, uuid) called or referenced in a simulation module",
+    "D104": "iteration over a set (literal, constructor, or a local bound "
+    "to one) in a simulation module (hash order leaks into results)",
     "D105": "dict subscript or key built from id() in a simulation module "
     "(address-dependent state)",
-    "D110": "flow-sensitive determinism taint: a value derived from a "
-    "nondeterministic source reaches simulation state (full source→sink "
-    "trace attached)",
-    "D111": "nondeterministic callable (clock/entropy/random) aliased to "
-    "a local name and invoked in a simulation module",
-    "D112": "determinism taint crosses a call boundary: a helper returns "
-    "a nondeterministic value that reaches simulation state",
     "H200": "hot-path manifest entry does not resolve to a definition",
     "H201": "class on the hot-path manifest does not declare __slots__",
     "H202": "attribute not in __slots__ assigned on a slotted class",
@@ -77,11 +70,27 @@ RULES: dict[str, str] = {
     "E999": "file could not be parsed",
 }
 
-#: Packages whose modules count as "simulation modules" for D103-D105.
-SIM_PACKAGES = ("sim", "mem", "hybrid", "core", "cache", "cpu")
+#: Packages whose modules count as "simulation modules" for D103-D105:
+#: every package ``repro.sim`` imports except ``repro.perf`` (its
+#: profiling clocks never write simulated state), plus
+#: ``repro.workloads``, whose program and mix tables are simulation
+#: inputs.
+SIM_PACKAGES = (
+    "sim",
+    "mem",
+    "hybrid",
+    "core",
+    "cache",
+    "cpu",
+    "common",
+    "policies",
+    "traces",
+    "workloads",
+)
 #: Packages whose public functions must be fully annotated (C304).
-#: Mirrors the mypy strict-override list in pyproject.toml — extend both
-#: together.
+#: The mypy strict lists in pyproject.toml, .pre-commit-config.yaml and
+#: the CI lint job name the same packages
+#: (tests/test_strict_packages.py checks all four).
 ANNOTATED_PACKAGES = (
     "repro.common",
     "repro.hybrid",
@@ -233,6 +242,9 @@ class _Checker(ast.NodeVisitor):
         self._raise_depth = 0
         #: Slot unions of enclosing slotted classes (None = H202 off).
         self._slots_stack: list[Optional[frozenset[str]]] = []
+        #: Per enclosing function: local name -> line where it was first
+        #: bound to a set (D104), innermost last.
+        self._set_locals: list[dict[str, int]] = []
 
     # ------------------------------------------------------------------
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
@@ -303,7 +315,37 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
-    # Calls: D102 / D103 / H203 (logging, print)
+    # Clock/entropy references: D103
+    # ------------------------------------------------------------------
+    def _check_clock(self, node: ast.expr, site: ast.AST) -> bool:
+        """D103 when ``node`` names a clock/entropy source, reported at
+        ``site``.  Any load counts, not just a call: ``clock =
+        time.time`` is flagged where it binds, so an alias or a helper
+        cannot launder the read."""
+        if not self.sim_scope:
+            return False
+        resolved = resolve_dotted(self.info, node)
+        if resolved not in _CLOCK_CALLS:
+            return False
+        self._emit(
+            "D103",
+            site,
+            f"{resolved} in a simulation module: results must be a "
+            "function of (spec, seed) only",
+        )
+        return True
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._check_clock(node, node)
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._check_clock(node, node)
+
+    # ------------------------------------------------------------------
+    # Calls: D102 / H203 (logging, print)
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         resolved = resolve_dotted(self.info, node.func)
@@ -317,13 +359,6 @@ class _Checker(ast.NodeVisitor):
                     node,
                     f"{resolved}: use repro.common.rng.make_rng for a "
                     "seeded substream",
-                )
-            if self.sim_scope and resolved in _CLOCK_CALLS:
-                self._emit(
-                    "D103",
-                    node,
-                    f"{resolved}() in a simulation module: results must "
-                    "be a function of (spec, seed) only",
                 )
             if self._hot_depth > 0:
                 if resolved == "print" or resolved.startswith("logging."):
@@ -363,25 +398,58 @@ class _Checker(ast.NodeVisitor):
                     "repro.policies.registry.build_policy so axis "
                     "resolution and canonical naming apply",
                 )
+        # A clock callee is reported at the whole call, so a noqa on any
+        # line of a multi-line call applies; then only the arguments
+        # remain to visit.
+        if self._check_clock(node.func, node):
+            for argument in (*node.args, *node.keywords):
+                self.visit(argument)
+            return
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
     # Iteration: D104
     # ------------------------------------------------------------------
+    def _is_set(self, node: ast.expr) -> bool:
+        """A set display, set comprehension, ``set()`` or ``frozenset()``."""
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        return isinstance(node, ast.Call) and resolve_dotted(
+            self.info, node.func
+        ) in ("set", "frozenset")
+
+    def _note_set_binding(
+        self, targets: list[ast.expr], value: Optional[ast.expr]
+    ) -> None:
+        """Record locals bound to a set earlier in the current function."""
+        if not (self.sim_scope and self._set_locals):
+            return
+        if value is None or not self._is_set(value):
+            return
+        for target in targets:
+            if isinstance(target, ast.Name):
+                self._set_locals[-1].setdefault(target.id, target.lineno)
+
     def _check_set_iteration(self, iterable: ast.expr) -> None:
         if not self.sim_scope:
             return
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp))
-        if not is_set and isinstance(iterable, ast.Call):
-            resolved = resolve_dotted(self.info, iterable.func)
-            is_set = resolved in ("set", "frozenset")
-        if is_set:
-            self._emit(
-                "D104",
-                iterable,
-                "iterating a set: order is hash-dependent; sort it or "
-                "use a sequence/dict",
-            )
+        if self._is_set(iterable):
+            what = "a set"
+        elif (
+            isinstance(iterable, ast.Name)
+            and self._set_locals
+            and iterable.id in self._set_locals[-1]
+        ):
+            line = self._set_locals[-1][iterable.id]
+            what = f"{iterable.id!r}, bound to a set on line {line}"
+        else:
+            return
+        self._emit(
+            "D104",
+            iterable,
+            f"iterating {what}: order is hash-dependent; sort it or use a "
+            "sequence/dict",
+        )
 
     def visit_For(self, node: ast.For) -> None:
         self._check_set_iteration(node.iter)
@@ -519,6 +587,7 @@ class _Checker(ast.NodeVisitor):
                     self._check_self_assignment(element)
             else:
                 self._check_self_assignment(target)
+        self._note_set_binding(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -526,6 +595,7 @@ class _Checker(ast.NodeVisitor):
         # import annotations`` it never evaluates, so e.g. the ``[int]``
         # in ``Callable[[int], None]`` is not an allocation (H204).
         self._check_self_assignment(node.target)
+        self._note_set_binding([node.target], node.value)
         self.visit(node.target)
         if node.value is not None:
             self.visit(node.value)
@@ -617,6 +687,7 @@ class _Checker(ast.NodeVisitor):
         if is_batch:
             self._batch_depth += 1
         self._func_stack.append(node.name)
+        self._set_locals.append({})
         # Visit children selectively: parameter/return annotations never
         # evaluate at runtime (future annotations), so their subtrees
         # must not trip allocation rules like H204.
@@ -629,6 +700,7 @@ class _Checker(ast.NodeVisitor):
                 self.visit(default)
         for statement in node.body:
             self.visit(statement)
+        self._set_locals.pop()
         self._func_stack.pop()
         if is_batch:
             self._batch_depth -= 1

@@ -9,3 +9,9 @@ def charge(owners, stats):
         seen.add(owner)
         stats[owner] += 1
     return [core for core in sorted(seen)]
+
+
+def enqueue(queue, first, second):
+    pending = {first, second}
+    for x in sorted(pending):
+        queue.append(x)

@@ -63,9 +63,6 @@ CASES: dict[str, Case] = {
     "D103": Case(module="repro.sim.fixture"),
     "D104": Case(module="repro.sim.fixture"),
     "D105": Case(module="repro.sim.fixture"),
-    "D110": Case(module="repro.sim.fixture"),
-    "D111": Case(module="repro.sim.fixture"),
-    "D112": Case(module="repro.sim.fixture"),
     "H200": Case(
         module="repro.sim.fixture",
         bad_classes=("Missing",),
@@ -170,8 +167,11 @@ class TestRulesFire:
         # Spot-check multiplicity: every banned site is reported, not
         # just the first one per file.
         assert len(lint_case("D101", "bad")) == 2  # import + from-import
-        assert len(lint_case("D103", "bad")) == 3  # time, datetime, urandom
-        assert len(lint_case("D104", "bad")) == 2  # for + comprehension
+        # time, datetime, urandom; alias binding; from-import reference;
+        # clock read inside a helper
+        assert len(lint_case("D103", "bad")) == 6
+        # for + comprehension over a set; two set-bound locals iterated
+        assert len(lint_case("D104", "bad")) == 4
         assert len(lint_case("D105", "bad")) == 2  # subscript + dict key
         assert len(lint_case("H202", "bad")) == 2  # __init__ + method
         assert len(lint_case("H203", "bad")) == 3  # print, f-string, try
@@ -181,8 +181,6 @@ class TestRulesFire:
         assert len(lint_case("C302", "bad")) == 3  # list, dict, set
         assert len(lint_case("C303", "bad")) == 2  # local class + builtin
         assert len(lint_case("C306", "bad")) == 2  # plain + inside tuple
-        assert len(lint_case("D110", "bad")) == 2  # clock store + set order
-        assert len(lint_case("D112", "bad")) == 2  # helper return + flow-through
         assert len(lint_case("K402", "bad")) == 2  # ghost + covered entry
 
 
@@ -245,8 +243,17 @@ class TestSelection:
         )
 
     def test_sim_rules_only_in_sim_scope(self):
-        # The same set-iteration code outside sim/ packages is legal.
-        assert lint_fixture("d104_bad", "repro.analysis.fixture") == []
+        # The simulation scope spans repro.common and repro.policies but
+        # not repro.perf, repro.exec or repro.analysis, where the same
+        # clock reads and set iteration are legal.
+        for rule in ("D103", "D104"):
+            fixture = f"{rule.lower()}_bad"
+            for package in ("common", "policies"):
+                module = f"repro.{package}.fixture"
+                assert lint_fixture(fixture, module, select=rule), module
+            for package in ("perf", "exec", "analysis"):
+                module = f"repro.{package}.fixture"
+                assert lint_fixture(fixture, module, select=rule) == [], module
 
 
 class TestFindingShape:

@@ -33,10 +33,13 @@ def _sim_module(tmp_path: Path, fixture: str) -> Path:
 
 
 class TestSarif:
+    """SARIF output, on K401: its findings carry a trace (declaration →
+    exclusion → read site) that renders as a code flow."""
+
     def test_cli_emits_valid_sarif(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "d110_bad")
+        target = _sim_module(tmp_path, "k401_bad")
         code = cli.main(
-            ["lint", str(target), "--select", "D110", "--format", "sarif"]
+            ["lint", str(target), "--select", "K401", "--format", "sarif"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -44,32 +47,27 @@ class TestSarif:
         (run,) = payload["runs"]
         assert run["tool"]["driver"]["name"] == "profess-lint"
         results = run["results"]
-        assert any(r["ruleId"] == "D110" for r in results)
+        assert [r["ruleId"] for r in results] == ["K401"]
         # Every reported ruleId is described in the driver's rule table.
         described = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {r["ruleId"] for r in results} <= described
 
     def test_flow_findings_carry_code_flows(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "d110_bad")
+        target = _sim_module(tmp_path, "k401_bad")
         cli.main(
-            ["lint", str(target), "--select", "D110", "--format", "sarif"]
+            ["lint", str(target), "--select", "K401", "--format", "sarif"]
         )
         payload = json.loads(capsys.readouterr().out)
-        flows = [
-            r
-            for r in payload["runs"][0]["results"]
-            if r["ruleId"] == "D110"
-        ]
-        assert flows
-        for result in flows:
-            (code_flow,) = result["codeFlows"]
-            (thread_flow,) = code_flow["threadFlows"]
-            assert len(thread_flow["locations"]) >= 2  # source … sink
-            for location in thread_flow["locations"]:
-                assert location["location"]["message"]["text"]
+        (result,) = payload["runs"][0]["results"]
+        (code_flow,) = result["codeFlows"]
+        (thread_flow,) = code_flow["threadFlows"]
+        # declaration, exclusion, read site
+        assert len(thread_flow["locations"]) == 3
+        for location in thread_flow["locations"]:
+            assert location["location"]["message"]["text"]
 
     def test_clean_input_sarif_exits_0(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "d110_good")
+        target = _sim_module(tmp_path, "k401_good")
         code = cli.main(["lint", str(target), "--format", "sarif"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)

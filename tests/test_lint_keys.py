@@ -53,6 +53,20 @@ class TestK401:
     def test_allowlisted_exclusion_is_silent(self):
         assert _lint("k401_good", select="K401") == []
 
+    def test_trace_lines_are_positive_and_pathed(self):
+        (finding,) = _lint("k401_bad", select="K401")
+        assert finding.trace
+        for step in finding.trace:
+            assert step.line >= 1
+            assert step.path.endswith(".py")
+
+    def test_render_trace_includes_steps(self):
+        (finding,) = _lint("k401_bad", select="K401")
+        rendered = finding.render_trace()
+        assert rendered.startswith(finding.render())
+        for step in finding.trace:
+            assert step.note in rendered
+
     def test_read_in_other_module_is_still_found(self):
         # K401 is a whole-project pass: the key class and the read may
         # live in different modules.

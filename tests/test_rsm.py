@@ -31,24 +31,28 @@ class TestCounters:
         assert c.num_req_total_s == 1
         assert c.num_req_m1_s == 0
 
-    def test_swap_self(self):
+    @pytest.mark.parametrize(
+        "promoted, demoted, totals, selfs",
+        [
+            (0, 0, (1, 0), (1, 0)),
+            (0, 1, (1, 1), (0, 0)),
+            (0, None, (1, 0), (0, 0)),
+            (None, 1, (0, 1), (0, 0)),
+            (None, None, (0, 0), (0, 0)),
+        ],
+        ids=[
+            "self",
+            "cross_program",
+            "vacant_m1",
+            "unowned_promoted",
+            "unowned_both",
+        ],
+    )
+    def test_swap_counters(self, promoted, demoted, totals, selfs):
         rsm = make_rsm()
-        rsm.on_swap(0, 0)
-        assert rsm.counters[0].num_swap_self == 1
-        assert rsm.counters[0].num_swap_total == 1
-
-    def test_swap_cross_program(self):
-        rsm = make_rsm()
-        rsm.on_swap(0, 1)
-        assert rsm.counters[0].num_swap_total == 1
-        assert rsm.counters[1].num_swap_total == 1
-        assert rsm.counters[0].num_swap_self == 0
-
-    def test_swap_with_vacant_m1(self):
-        rsm = make_rsm()
-        rsm.on_swap(0, None)
-        assert rsm.counters[0].num_swap_total == 1
-        assert rsm.counters[0].num_swap_self == 0
+        rsm.on_swap(promoted, demoted)
+        assert tuple(c.num_swap_total for c in rsm.counters) == totals
+        assert tuple(c.num_swap_self for c in rsm.counters) == selfs
 
     def test_reset(self):
         c = RSMCounters(1, 2, 3, 4, 5, 6)
