@@ -101,6 +101,14 @@ class STC:
         """Register a callback invoked with every evicted entry."""
         self._eviction_callbacks.append(callback)
 
+    def release(self) -> None:
+        """Drop every eviction callback; the owning simulation is over.
+
+        A callback is typically a bound method of the memory controller,
+        which holds this STC, so keeping it would close a reference cycle.
+        """
+        self._eviction_callbacks.clear()
+
     @property
     def hit_rate(self) -> float:
         """STC lookup hit rate (Figure 7 reports this under MDM)."""

@@ -34,7 +34,14 @@ class EventQueue:
     """A min-heap of (cycle, sequence, callback) events with a same-cycle
     FIFO fast lane."""
 
-    __slots__ = ("_heap", "_fifo", "_seq", "_now", "schedule_now")
+    __slots__ = (
+        "_heap",
+        "_fifo",
+        "_seq",
+        "_now",
+        "schedule_now",
+        "__weakref__",
+    )
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Callback]] = []
@@ -74,6 +81,19 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule event at {cycle} before now={now}"
             )
+
+    def release(self) -> None:
+        """Drop every queued event; the simulation using the queue is over.
+
+        Queued callbacks are bound methods and partials of the components
+        that share this queue, and those components hold the queue, so
+        the entries close reference cycles.  A finished run still leaves
+        some behind (the channel ticks that the end-of-run ST write-backs
+        kick, or everything past a ``max_cycles`` cutoff); dropping them
+        lets reference counting free the simulation.
+        """
+        self._heap.clear()
+        self._fifo.clear()
 
     def schedule_after(self, delay: int, callback: Callback) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now."""

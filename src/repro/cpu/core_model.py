@@ -75,6 +75,7 @@ class TraceCore:
         "_dispatch_cb",
         "_on_read_complete_cb",
         "_on_write_complete_cb",
+        "__weakref__",
     )
 
     def __init__(
@@ -122,6 +123,19 @@ class TraceCore:
     def stop(self) -> None:
         """Cease issuing after in-flight work completes."""
         self.stopped = True
+
+    def release(self) -> None:
+        """Drop the callbacks that tie the core to its finished simulation.
+
+        ``access`` and ``on_pass_complete`` are bound methods of the
+        driver that owns the core, and the four cached ``*_cb`` callbacks
+        are bound methods of the core itself: each closes a reference
+        cycle.  Counters and ``instructions_retired`` stay readable; the
+        core cannot issue again.
+        """
+        del self.access, self.on_pass_complete
+        del self._issue_next_cb, self._dispatch_cb
+        del self._on_read_complete_cb, self._on_write_complete_cb
 
     @property
     def ipc(self) -> float:

@@ -116,6 +116,7 @@ class HybridMemoryController:
         "_rsm_on_request",
         "_policy_on_access",
         "_ctx",
+        "__weakref__",
     )
 
     def __init__(
@@ -569,11 +570,32 @@ class HybridMemoryController:
     # End-of-run bookkeeping and aggregate statistics
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Flush the STC so final MDM statistics and QAC values land."""
+        """Flush the STC so final MDM statistics and QAC values land.
+
+        The flush runs after the event loop has stopped, so the ST
+        write-backs it enqueues (one per evicted entry with a non-zero
+        counter) never issue: they count in neither the channel
+        statistics nor the energy.
+        """
         self.stc.flush()
         # The requests/J numerator equals the per-core served counts, so
         # it is settled once here instead of incremented per request.
         self.energy.requests_served = self.total_requests()
+
+    def release(self) -> None:
+        """Break the controller's reference cycles; its run is over.
+
+        The policy (``policy.bind``) and the STC (the eviction hook) each
+        hold a way back to the controller, in-flight ST fetches hold
+        continuations into it, and each channel holds callbacks into
+        itself and the controller.  Statistics (``st``, ``rsm``,
+        ``energy``, ``core_stats``, channel stats) stay readable.
+        """
+        self.policy.bind(None)
+        self.stc.release()
+        self._pending_fetches.clear()
+        for channel in self.channels:
+            channel.release()
 
     def total_requests(self) -> int:
         """Demand requests served across all cores."""

@@ -148,6 +148,7 @@ class Channel:
         "_closed_until_v",
         "_tick_cb",
         "stats",
+        "__weakref__",
     )
 
     def __init__(
@@ -297,6 +298,21 @@ class Channel:
         if not self._tick_scheduled:
             self._tick_scheduled = True
             self._schedule_now(self._tick_cb)
+
+    def release(self) -> None:
+        """Drop the callbacks the channel holds; its simulation is over.
+
+        The cached tick is a bound method of the channel itself, and
+        queued reads and writes waiting for acceptance carry completions
+        that reach back into the controller and the cores (a
+        ``max_cycles`` cutoff can leave demand reads and ST fetches
+        queued; posted writes keep no completion in the queue).  Both
+        close reference cycles.  Statistics and bank state stay
+        readable; the channel cannot tick again.
+        """
+        del self._tick_cb
+        self._reads.callbacks = [None] * self._reads.capacity
+        self._write_accept_waiters.clear()
 
     def queue_depth(self) -> int:
         """Pending (unscheduled) requests, reads + buffered writes."""

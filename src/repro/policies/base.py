@@ -101,7 +101,8 @@ class MigrationPolicy(ABC):
         """Attach the memory controller (owner lookups, RSM, clock).
 
         Called once by :class:`~repro.hybrid.memory.HybridMemoryController`
-        before the simulation starts.
+        before the simulation starts, and with ``None`` by its
+        ``release()`` once the simulation is over.
         """
         self._controller = controller
 

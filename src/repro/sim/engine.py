@@ -146,6 +146,7 @@ class SimulationDriver:
         if validate_every < 0:
             raise SimulationError("validate_every must be >= 0")
         self._validate_every = validate_every
+        self._ran = False
 
     # ------------------------------------------------------------------
     def _access(self, core_id, virtual_line, is_write, on_complete) -> None:
@@ -176,6 +177,23 @@ class SimulationDriver:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Run to completion and return the results.
+
+        A driver runs once.  When ``run`` returns or raises,
+        :meth:`_release` breaks the reference cycles among the
+        simulation's components, so reference counting frees them as
+        soon as the caller drops the driver.  The result, the controller's
+        statistics and the policy's counters stay readable.
+        """
+        if self._ran:
+            raise SimulationError("a SimulationDriver runs only once")
+        self._ran = True
+        try:
+            return self._simulate()
+        finally:
+            self._release()
+
+    def _simulate(self) -> SimulationResult:
+        """Drive the event loop to the end of the run; collect results.
 
         The event loop itself lives in :meth:`EventQueue.run` (the
         inlined fast path); this method only wires up the cutoffs.  When
@@ -215,6 +233,18 @@ class SimulationDriver:
                 wall_seconds=time.perf_counter() - started,
             )
         return result
+
+    def _release(self) -> None:
+        """Break every reference cycle the simulation's components form.
+
+        The cores call back into the driver, the policy and the STC into
+        the controller, and channels, cores and queued events hold bound
+        methods of their own owners.  Each component drops its side.
+        """
+        self.controller.release()
+        for core in self.cores:
+            core.release()
+        self.events.release()
 
     def _periodic_validate(self, now: int) -> None:
         """Audit all controller invariants, then re-arm.
