@@ -33,9 +33,10 @@ from repro.traces.decode import DEFAULT_CHUNK_REQUESTS, TraceDecoder
 class TraceCore:
     """Replays one program's trace against a memory access function.
 
-    ``access`` is called as ``access(core_id, virtual_line, is_write,
-    on_complete)``; address translation to original physical lines is the
-    caller's concern (see :class:`repro.sim.engine.ProgramRunner`).
+    ``access`` is called as ``access(core_id, line, is_write,
+    on_complete)`` with the trace's line as given; address translation is
+    the caller's concern (:class:`repro.sim.engine.SimulationDriver`
+    hands each core its trace already translated to physical lines).
     ``on_pass_complete`` fires each time the trace finishes one pass; it
     returns True to replay the trace again (workload repetition,
     Section 4.2) or False to stop the core.

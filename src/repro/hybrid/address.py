@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.mem.request import DeviceAddress, Module
@@ -35,8 +37,8 @@ from repro.mem.request import DeviceAddress, Module
 class BlockLocation:
     """Where a block currently lives: channel + device address.
 
-    ``bank_key`` and ``row`` are the columnar spellings the channel's
-    SoA enqueue path consumes directly (``bank_key = module *
+    ``bank_key`` and ``row`` are the flat spellings
+    ``Channel.enqueue_soa`` consumes directly (``bank_key = module *
     banks_per_rank + bank``); they are precomputed once per memoized
     location so the per-request path reads two plain ints instead of
     re-deriving them from ``address``.
@@ -147,6 +149,14 @@ class AddressMap:
         if mask is not None:
             return (group >> 1) & mask
         return (group >> 1) % self.num_regions
+
+    def region_of_groups(self, groups: np.ndarray) -> np.ndarray:
+        """:meth:`region_of_group` over an array of (non-negative) groups."""
+        return (groups >> 1) % self.num_regions
+
+    def region_of_pages(self, pages: np.ndarray) -> np.ndarray:
+        """:meth:`region_of_page` over an array of (non-negative) frames."""
+        return self.region_of_groups((2 * pages) % self.total_groups)
 
     def page_of_block(self, block: int) -> int:
         """4-KB OS page frame containing an original block."""

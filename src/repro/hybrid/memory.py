@@ -105,7 +105,7 @@ class HybridMemoryController:
         "_lines_shift",
         "_groups_mask",
         "_groups_shift",
-        "_region_of_v",
+        "_region_of",
         "_data_location",
         "_data_loc_cache",
         "_group_size",
@@ -235,17 +235,10 @@ class HybridMemoryController:
         else:
             self._lines_shift = self._groups_mask = self._groups_shift = 0
         # Region of every group, tabulated once: ``_serve`` replaces the
-        # per-request arithmetic call with one buffer index.
-        self._region_of_v = memoryview(
-            np.fromiter(
-                (
-                    self.address_map.region_of_group(group)
-                    for group in range(config.total_groups)
-                ),
-                dtype=np.int64,
-                count=config.total_groups,
-            )
-        )
+        # per-request arithmetic call with one list index.
+        self._region_of = self.address_map.region_of_groups(
+            np.arange(config.total_groups, dtype=np.int64)
+        ).tolist()
         self._data_location = self.address_map.data_location
         # The translation memo itself, so the hit path (every request
         # after the first touch of a location) is a dict probe here
@@ -395,7 +388,7 @@ class HybridMemoryController:
         # RSM request counters (Table 3): one count per request, routed
         # to the requesting core's *program* (Section 3.1.1).
         program = self.program_of_core[core_id]
-        region = self._region_of_v[group]
+        region = self._region_of[group]
         self._rsm_on_request(
             program,
             region,
@@ -495,7 +488,18 @@ class HybridMemoryController:
 
         owner_promoted = self.owner_of_slot(group, slot)
         owner_demoted = st_entry.m1_owner
-        was_identity = st_entry.is_identity()
+        # Slow swap type (Table 1): the group's original mapping must be
+        # restored before the new blocks exchange, costing an extra
+        # block-move pass on the channel.  The smart style pays the
+        # restore only when the exchange does not already re-home the
+        # demoted block (i.e. the demoted block's new M2 location is not
+        # its original slot).  Only these styles ask whether the group is
+        # still unmapped, and they must ask before the swap below.
+        style = self._swap_style
+        restore = (
+            style == "slow"
+            or (style == "smart" and m2_location != demote_slot)
+        ) and not st_entry.is_identity()
         st_entry.swap(slot, demote_slot)
         st_entry.m1_owner = owner_promoted
 
@@ -515,17 +519,7 @@ class HybridMemoryController:
         on_swap_done = partial(self._finish_swap, group)
 
         channel = self.channels[m1_address.channel]
-        style = self._swap_style
-        if (
-            style == "slow"
-            or (style == "smart" and m2_location != demote_slot)
-        ) and not was_identity:
-            # Slow swap type (Table 1): the group's original mapping must
-            # be restored before the new blocks exchange, costing an
-            # extra block-move pass on the channel.  The smart style pays
-            # the restore only when the exchange does not already re-home
-            # the demoted block (i.e. the demoted block's new M2 location
-            # is not its original slot).
+        if restore:
             channel.schedule_swap(
                 m1_bank=m1_address.address.bank,
                 m1_row=m1_address.address.row,

@@ -64,12 +64,15 @@ class OSAllocator:
     ) -> None:
         self._map = address_map
         self._regions = region_map
-        #: region -> stack of free frame numbers (pre-shuffled).
+        #: region -> stack of free frame numbers (pre-shuffled).  Each
+        #: list starts in ascending frame order and is shuffled in region
+        #: order, so frame placement is a function of the seed alone.
+        pages = np.arange(address_map.total_pages, dtype=np.int64)
+        regions = address_map.region_of_pages(pages)
         self._free: dict[int, list[int]] = {
-            region: [] for region in range(address_map.num_regions)
+            region: pages[regions == region].tolist()
+            for region in range(address_map.num_regions)
         }
-        for page in range(address_map.total_pages):
-            self._free[address_map.region_of_page(page)].append(page)
         for frames in self._free.values():
             rng.shuffle(frames)
         #: frame -> owning program.
@@ -161,12 +164,23 @@ class PageTable:
     def translate_line(self, virtual_line: int, lines_per_page: int) -> int:
         """Virtual 64-B line number -> physical (original) line number.
 
-        Called once per demand request; the 64-line (4-KB) page used by
-        every trace takes the shift/mask path instead of a divmod.
+        Pages past the footprint wrap around it.  The scalar reference
+        for :meth:`translate_lines`.
         """
-        if lines_per_page == 64:
-            vpage = virtual_line >> 6
-            offset = virtual_line & 63
-        else:
-            vpage, offset = divmod(virtual_line, lines_per_page)
+        vpage, offset = divmod(virtual_line, lines_per_page)
         return self._frames[vpage % self._num_pages] * lines_per_page + offset
+
+    def translate_lines(
+        self, virtual_lines: np.ndarray, lines_per_page: int
+    ) -> np.ndarray:
+        """:meth:`translate_line` over a whole trace's line stream.
+
+        Every frame is allocated at construction, so the simulation
+        driver translates each trace once per run instead of once per
+        request.
+        """
+        vpages, offsets = np.divmod(
+            np.asarray(virtual_lines, dtype=np.int64), lines_per_page
+        )
+        frames = np.asarray(self._frames, dtype=np.int64)
+        return frames[vpages % self._num_pages] * lines_per_page + offsets

@@ -13,11 +13,12 @@ function here forbids introducing f-strings, logging/print calls, or
 try/except inside its body (H203; f-strings inside ``raise`` statements
 are exempt — the error path is allowed to format).
 
-The columnar memory kernel (DESIGN.md §14) adds a third obligation:
-functions in :data:`HOT_BATCH_FUNCTIONS` form the fused per-tick loop
-over the structure-of-arrays queues and must stay *allocation-free* —
-no container displays/constructors, comprehensions, lambdas, closures,
-``functools.partial``, or project-class construction per event (H204).
+The channel's fused tick (DESIGN.md §14) adds a third obligation:
+functions in :data:`HOT_BATCH_FUNCTIONS` form the per-tick loop over
+the channel's request queues and must stay *allocation-free* beyond the
+one request tuple a queue stores — no list/set/dict displays or
+constructors, comprehensions, lambdas, closures, ``functools.partial``,
+or project-class construction per event (H204).
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ HOT_CLASSES: frozenset[str] = frozenset(
         "repro.hybrid.memory._PendingFetch",
         "repro.hybrid.st.SwapGroupTable",
         "repro.hybrid.st_entry.STEntry",
-        "repro.mem.batch.RequestBatch",
         "repro.mem.channel.Channel",
         "repro.mem.channel.ChannelStats",
         "repro.mem.channel.ModuleState",
         "repro.mem.request.DeviceAddress",
-        "repro.mem.request.MemRequest",
         "repro.policies.base.AccessContext",
         "repro.traces.decode.DecodedChunk",
         "repro.traces.decode.TraceDecoder",
@@ -61,21 +60,18 @@ HOT_FUNCTIONS: frozenset[str] = frozenset(
         "repro.cpu.core_model.TraceCore._refill",
         "repro.hybrid.memory.HybridMemoryController._serve",
         "repro.hybrid.memory.HybridMemoryController.access",
-        "repro.mem.batch.RequestBatch.push",
         "repro.mem.channel.Channel._tick_python",
-        "repro.mem.channel.Channel.enqueue",
         "repro.mem.channel.Channel.enqueue_soa",
     }
 )
 
-#: The fused batched tick loop: one call per scheduling decision over
-#: the SoA columns.  H204 bans per-request object allocation inside —
-#: container displays/constructors, comprehensions, lambdas, nested
-#: functions, ``functools.partial``, and project-class construction.
-#: (All of these are also H203 hot functions.)
+#: The fused tick loop: one call per scheduling decision over the
+#: channel's queues.  H204 bans per-request object allocation inside —
+#: list/set/dict displays and container constructors, comprehensions,
+#: lambdas, nested functions, ``functools.partial``, and project-class
+#: construction.  (All of these are also H203 hot functions.)
 HOT_BATCH_FUNCTIONS: frozenset[str] = frozenset(
     {
-        "repro.mem.batch.RequestBatch.push",
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue_soa",
     }

@@ -150,9 +150,9 @@ _BANNED_BUILTIN_RAISES = frozenset(
 
 
 #: Allocating constructors banned inside batched tick-loop functions
-#: (H204).  Method calls (``free.pop()``, ``queue._grow()``) stay legal:
-#: the rule targets fresh per-event objects, not reuse of preallocated
-#: state.
+#: (H204).  Method calls (``queue.append(entry)``, ``waiters.popleft()``)
+#: stay legal: the rule targets fresh per-event objects, not mutation of
+#: existing state.
 _BATCH_ALLOC_CALLS = frozenset(
     {
         "list",
@@ -373,7 +373,7 @@ class _Checker(ast.NodeVisitor):
                         "H204",
                         node,
                         f"{resolved}() allocates inside a batched tick "
-                        "loop: reuse preallocated SoA state instead",
+                        "loop: keep per-request state in the queued tuple",
                     )
                 elif (
                     resolved in self.index.classes
@@ -384,8 +384,8 @@ class _Checker(ast.NodeVisitor):
                         "H204",
                         node,
                         f"{resolved} constructed inside a batched tick "
-                        "loop: per-request objects defeat the columnar "
-                        "layout",
+                        "loop: a per-request object costs an allocation "
+                        "per event",
                     )
             if (
                 not self.policy_scope
@@ -500,7 +500,7 @@ class _Checker(ast.NodeVisitor):
             self._emit(
                 "H204",
                 node,
-                f"{what} inside a batched tick loop: the SoA fast path "
+                f"{what} inside a batched tick loop: the fused tick "
                 "must not allocate per request",
             )
 

@@ -5,14 +5,14 @@ modified DRAMSim2: banks with open-page row buffers, a shared per-channel
 data bus, FR-FCFS-Cap scheduling, channel-blocking 2-KB swaps, and an
 activate/burst/background energy model.
 
-The channel hot path is columnar (structure-of-arrays) with one fused
-tick per scheduling decision — see :mod:`repro.mem.batch` and
-DESIGN.md §14.
+The channel keeps its queues as lists of request tuples and its bank
+state as plain lists, with one fused tick per scheduling decision — see
+:mod:`repro.mem.channel` and DESIGN.md §14.  The package is plain
+Python: it does not import numpy.
 """
 
-from repro.mem.request import DeviceAddress, MemRequest, Module, RequestKind
-from repro.mem.batch import NO_ROW, BankView, RequestBatch
-from repro.mem.channel import Channel
+from repro.mem.request import DeviceAddress, Module, RequestKind
+from repro.mem.channel import NO_ROW, BankView, Channel
 from repro.mem.power import EnergyMeter
 
 __all__ = [
@@ -20,9 +20,7 @@ __all__ = [
     "Channel",
     "DeviceAddress",
     "EnergyMeter",
-    "MemRequest",
     "Module",
     "NO_ROW",
-    "RequestBatch",
     "RequestKind",
 ]

@@ -12,14 +12,14 @@ Swaps block the channel for the analytic swap latency (Section 4.1), and
 row-buffer hits do not bypass the FR-FCFS-Cap ordering across a swap (the
 paper modifies the scheduler to ignore row hits during swaps).
 
-The channel holds its queues as :class:`repro.mem.batch.RequestBatch`
-columns and its bank state as four ``int64`` arrays indexed by the
-global bank key ``module * banks_per_rank + bank``.  Each scheduling
-decision is one *fused tick* (``_tick_python``, DESIGN.md §14): queue
-choice, FR-FCFS-Cap selection, dequeue, refresh catch-up, timing update,
-and burst in a single scalar pass over those columns.  The tick is the
-simulator's only FR-FCFS-Cap implementation; the test suite checks it
-in lockstep against a scalar reference scheduler.
+The channel holds each queue as a plain list of ``(bank_key, row,
+arrival, kind, on_complete)`` tuples in arrival order, and its bank
+state as four plain lists indexed by the global bank key ``module *
+banks_per_rank + bank``.  Each scheduling decision is one *fused tick*
+(``_tick_python``, DESIGN.md §14): queue choice, FR-FCFS-Cap selection,
+dequeue, refresh catch-up, timing update, and burst in a single scalar
+pass.  The tick is the simulator's only FR-FCFS-Cap implementation; the
+test suite checks it in lockstep against a scalar reference scheduler.
 """
 
 from __future__ import annotations
@@ -28,13 +28,10 @@ from collections import deque
 from heapq import heappush as _heappush
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
-from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.power import EnergyMeter
-from repro.mem.request import MemRequest, Module
+from repro.mem.request import Module
 
 # Module-level spellings of the channel's tuning constants: the tick
 # paths read them as globals (one dict probe) instead of class-attribute
@@ -43,6 +40,57 @@ _CMD_GAP = 4
 _WRITE_QUEUE_HIGH = 24
 _WRITE_QUEUE_LOW = 8
 _WRITE_QUEUE_CAP = 32
+
+#: Sentinel for "no row open" in the bank ``open_row`` column.  The ST
+#: area uses a *negative* row namespace (``-1 - k``), so the sentinel
+#: must sit far below any representable row id, not at ``-1``.
+NO_ROW = -(1 << 60)
+
+
+class BankView:
+    """Read-only view of one bank inside the channel's bank-state lists.
+
+    Preserves the ``Channel.bank(module, index)`` inspection API (tests
+    and policies).  ``open_row`` translates the :data:`NO_ROW` sentinel
+    back to ``None``.
+    """
+
+    __slots__ = ("_open_row", "_ready_at", "_dirty", "_closed_until", "_key")
+
+    def __init__(
+        self,
+        open_row: list[int],
+        ready_at: list[int],
+        dirty: list[int],
+        closed_until: list[int],
+        key: int,
+    ) -> None:
+        self._open_row = open_row
+        self._ready_at = ready_at
+        self._dirty = dirty
+        self._closed_until = closed_until
+        self._key = key
+
+    @property
+    def open_row(self) -> Optional[int]:
+        row = self._open_row[self._key]
+        return None if row == NO_ROW else row
+
+    @property
+    def ready_at(self) -> int:
+        return self._ready_at[self._key]
+
+    @property
+    def dirty(self) -> bool:
+        return bool(self._dirty[self._key])
+
+    @property
+    def closed_until(self) -> int:
+        return self._closed_until[self._key]
+
+    def is_row_hit(self, row: int) -> bool:
+        """True if ``row`` is currently open in this bank's row buffer."""
+        return self._open_row[self._key] == row
 
 
 class ChannelStats:
@@ -85,8 +133,8 @@ class ModuleState:
     ``MemTimings`` stores nanoseconds and converts per property access;
     the channel issues commands tens of thousands of times per simulated
     millisecond, so the conversions are done once here and the hot path
-    reads plain ints.  Bank state itself lives in the channel's columnar
-    arrays; ``lo:hi`` is this module's bank-key slice of them.
+    reads plain ints.  Bank state itself lives in the channel's bank
+    lists; ``lo:hi`` is this module's bank-key slice of them.
     """
 
     __slots__ = (
@@ -142,10 +190,6 @@ class Channel:
         "_ready_at",
         "_dirty",
         "_closed_until",
-        "_open_row_v",
-        "_ready_at_v",
-        "_dirty_v",
-        "_closed_until_v",
         "_tick_cb",
         "stats",
         "__weakref__",
@@ -182,20 +226,17 @@ class Channel:
         self._lines_per_block = lines_per_block
         self._row_idle_close = row_idle_close
         self._banks_per_rank = banks_per_rank
-        # Columnar bank state, both modules back to back: key =
-        # module * banks_per_rank + bank.  Scalar access goes through
-        # the memoryviews; refresh uses the arrays.
+        # Bank state, both modules back to back: key =
+        # module * banks_per_rank + bank.
         total_banks = 2 * banks_per_rank
-        self._open_row = np.full(total_banks, NO_ROW, dtype=np.int64)
-        self._ready_at = np.zeros(total_banks, dtype=np.int64)
-        self._dirty = np.zeros(total_banks, dtype=np.int64)
-        self._closed_until = np.zeros(total_banks, dtype=np.int64)
-        self._open_row_v = memoryview(self._open_row)
-        self._ready_at_v = memoryview(self._ready_at)
-        self._dirty_v = memoryview(self._dirty)
-        self._closed_until_v = memoryview(self._closed_until)
-        self._reads = RequestBatch()
-        self._writes = RequestBatch()
+        self._open_row = [NO_ROW] * total_banks
+        self._ready_at = [0] * total_banks
+        self._dirty = [0] * total_banks
+        self._closed_until = [0] * total_banks
+        # Pending requests, oldest first: (bank_key, row, arrival, kind,
+        # on_complete) tuples.  Posted writes carry no completion.
+        self._reads: list[tuple] = []
+        self._writes: list[tuple] = []
         self._write_accept_waiters: deque = deque()
         self._draining_writes = False
         self._bus_free_at = 0
@@ -227,74 +268,27 @@ class Channel:
         kind: int,
         on_complete: Optional[Callable[[int], None]] = None,
     ) -> None:
-        """Accept a request given directly as column values.
+        """Accept one request at a global bank key and row.
 
-        The allocation-free fast path: callers (the hybrid controller)
-        pass the precomputed global bank key and row instead of building
-        a ``MemRequest``.  Reads complete (``on_complete``) at the end
-        of their data burst.  Writes are *posted*: they buffer in the
-        controller's write queue, their ``on_complete`` fires at
-        acceptance, and the queue drains in batches under a watermark
-        policy with read priority.  When the write queue is full,
-        acceptance (and thus the issuing core's store buffer)
-        backpressures until entries drain.
+        Callers (the hybrid controller) pass the precomputed bank key
+        ``module * banks_per_rank + bank``.  Reads complete
+        (``on_complete``) at the end of their data burst.  Writes are
+        *posted*: they buffer in the controller's write queue, their
+        ``on_complete`` fires at acceptance, and the queue drains in
+        batches under a watermark policy with read priority.  When the
+        write queue is full, acceptance (and thus the issuing core's
+        store buffer) backpressures until entries drain.
         """
-        # RequestBatch.push, inlined for both queues: one call frame per
-        # request saved on the hottest producer in the simulator.
-        queue = self._writes if is_write else self._reads
-        free = queue.free
-        if not free:
-            queue._grow()
-            free = queue.free
-        slot = free.pop()
-        queue.bank_key_v[slot] = bank_key
-        queue.row_v[slot] = row
-        queue.arrival_v[slot] = arrival
-        queue.kind_v[slot] = kind
-        count = queue.count
-        queue.order_v[count] = slot
-        queue.count = count + 1
         if is_write:
-            queue.is_write_v[slot] = 1
+            writes = self._writes
+            writes.append((bank_key, row, arrival, kind, None))
             if on_complete is not None:
-                if queue.count <= _WRITE_QUEUE_CAP:
+                if len(writes) <= _WRITE_QUEUE_CAP:
                     self._schedule_now(on_complete)
                 else:
                     self._write_accept_waiters.append(on_complete)
         else:
-            queue.is_write_v[slot] = 0
-            queue.callbacks[slot] = on_complete
-        if not self._tick_scheduled:
-            self._tick_scheduled = True
-            self._schedule_now(self._tick_cb)
-
-    def enqueue(self, request: MemRequest) -> None:
-        """Accept a :class:`MemRequest` (compat wrapper over the columns).
-
-        Same acceptance semantics as :meth:`enqueue_soa`; additionally
-        the request object's ``completion`` and ``row_hit`` fields are
-        written back when the request is issued.
-        """
-        address = request.address
-        bank_key = address.module * self._banks_per_rank + address.bank
-        if request.is_write:
-            writes = self._writes
-            writes.push(
-                bank_key, address.row, 1, request.arrival, request.kind,
-                None, request,
-            )
-            acceptance = request.on_complete
-            request.on_complete = None
-            if acceptance is not None:
-                if writes.count <= self.WRITE_QUEUE_CAP:
-                    self._schedule_now(acceptance)
-                else:
-                    self._write_accept_waiters.append(acceptance)
-        else:
-            self._reads.push(
-                bank_key, address.row, 0, request.arrival, request.kind,
-                request.on_complete, request,
-            )
+            self._reads.append((bank_key, row, arrival, kind, on_complete))
         if not self._tick_scheduled:
             self._tick_scheduled = True
             self._schedule_now(self._tick_cb)
@@ -307,16 +301,17 @@ class Channel:
         that reach back into the controller and the cores (a
         ``max_cycles`` cutoff can leave demand reads and ST fetches
         queued; posted writes keep no completion in the queue).  Both
-        close reference cycles.  Statistics and bank state stay
-        readable; the channel cannot tick again.
+        close reference cycles.  Statistics, bank state and the queued
+        entries (minus their completions) stay readable; the channel
+        cannot tick again.
         """
         del self._tick_cb
-        self._reads.callbacks = [None] * self._reads.capacity
+        self._reads = [entry[:4] + (None,) for entry in self._reads]
         self._write_accept_waiters.clear()
 
     def queue_depth(self) -> int:
         """Pending (unscheduled) requests, reads + buffered writes."""
-        return self._reads.count + self._writes.count
+        return len(self._reads) + len(self._writes)
 
     #: Command-bus gap between consecutive scheduling decisions: one
     #: channel cycle (4 CPU cycles at 3.2/0.8 GHz).  Banks prepare in
@@ -340,68 +335,57 @@ class Channel:
         self._tick_scheduled = False
         reads = self._reads
         writes = self._writes
-        if writes.count:
+        if writes:
             # The read-priority write-drain watermark policy.
-            if not reads.count or writes.count >= _WRITE_QUEUE_HIGH:
+            if not reads or len(writes) >= _WRITE_QUEUE_HIGH:
                 self._draining_writes = True
-                queue = writes
+                is_write = True
             else:
-                if (
-                    self._draining_writes
-                    and writes.count <= _WRITE_QUEUE_LOW
-                ):
+                if self._draining_writes and len(writes) <= _WRITE_QUEUE_LOW:
                     self._draining_writes = False
-                queue = writes if self._draining_writes else reads
-        elif reads.count:
+                is_write = self._draining_writes
+        elif reads:
             # No buffered writes: reads drain, and any write drain
             # mode ends.
             self._draining_writes = False
-            queue = reads
+            is_write = False
         else:
             return
-        order = queue.order_v
-        keys = queue.bank_key_v
-        rows = queue.row_v
-        open_row = self._open_row_v
-        count = queue.count
+        queue = writes if is_write else reads
+        open_row = self._open_row
         # --- FR-FCFS-Cap selection (pre-refresh bank state): the oldest
         # row hit while the hit streak is under the cap, else the oldest
         # request.  Production queues stay shallow (DESIGN.md §14), so a
         # scalar walk that stops at the first hit is all it takes. ---
         chosen = 0
-        slot = order[0]
-        hit = open_row[keys[slot]] == rows[slot]
+        entry = queue[0]
+        hit = open_row[entry[0]] == entry[1]
         if not hit and self._streak < self._cap:
             index = 1
+            count = len(queue)
             while index < count:
-                candidate = order[index]
-                if open_row[keys[candidate]] == rows[candidate]:
+                candidate = queue[index]
+                if open_row[candidate[0]] == candidate[1]:
                     chosen = index
-                    slot = candidate
+                    entry = candidate
                     hit = True
                     break
                 index += 1
         self._streak = self._streak + 1 if hit else 0
-        # --- dequeue: shift the arrival order over the gap ---
-        last = count - 1
-        index = chosen
-        while index < last:
-            order[index] = order[index + 1]
-            index += 1
-        queue.count = last
+        del queue[chosen]
         if (
             self._write_accept_waiters
-            and writes.count <= _WRITE_QUEUE_CAP
+            and len(writes) <= _WRITE_QUEUE_CAP
         ):
             self._schedule_now(self._write_accept_waiters.popleft())
         # --- issue: refresh catch-up, bank preparation, data burst ---
-        key = keys[slot]
+        key, row, arrival, kind, callback = entry
         module = 1 if key >= self._banks_per_rank else 0
         module_state = self._modules[module]
         if now >= module_state.next_refresh:
             self._refresh_if_due(module_state, now)
-        ready = self._ready_at_v
-        dirty = self._dirty_v
+        ready = self._ready_at
+        dirty = self._dirty
         bank_ready = ready[key]
         prep_start = now if now > bank_ready else bank_ready
         if self._blocked_until > prep_start:
@@ -420,11 +404,9 @@ class Channel:
             penalty = module_state.t_rp + (
                 module_state.t_wr if dirty[key] else 0
             )
-            self._closed_until_v[key] = bank_ready + row_idle_close + penalty
+            self._closed_until[key] = bank_ready + row_idle_close + penalty
             orow = NO_ROW
             dirty[key] = 0
-        row = rows[slot]
-        is_write = queue.is_write_v[slot]
         energy = self._energy
         if orow == row:
             # Row-buffer hit: CAS only; writes land in the row buffer
@@ -443,7 +425,7 @@ class Channel:
                     # makes this the dominant NVM write cost, Sec. 4.1).
                     precharge += module_state.t_wr
             else:
-                closed_until = self._closed_until_v[key]
+                closed_until = self._closed_until[key]
                 if closed_until > prep_start:
                     precharge = closed_until - prep_start
             data_ready = (
@@ -451,7 +433,7 @@ class Channel:
             )
             if energy is not None:
                 energy.activates[module] += 1
-            new_dirty = is_write
+            new_dirty = 1 if is_write else 0
         burst_start = data_ready
         if self._bus_free_at > burst_start:
             burst_start = self._bus_free_at
@@ -462,7 +444,6 @@ class Channel:
         dirty[key] = new_dirty
         # --- record served traffic and schedule the completion ---
         stats = self.stats
-        kind = queue.kind_v[slot]
         if kind == 0:  # RequestKind.DATA
             # Demand traffic first: it dominates the served stream.
             if is_write:
@@ -470,7 +451,7 @@ class Channel:
             else:
                 stats.reads += 1
                 # Latency statistics track demand reads only (AMMAT).
-                stats.read_latency_sum += burst_end - queue.arrival_v[slot]
+                stats.read_latency_sum += burst_end - arrival
                 stats.read_count += 1
         else:
             if kind == 1:  # RequestKind.ST_READ
@@ -486,14 +467,6 @@ class Channel:
         if energy is not None:
             counters = energy.line_writes if is_write else energy.line_reads
             counters[module] += 1
-        origins = queue.origins
-        origin = origins[slot]
-        if origin is not None:
-            origin.completion = burst_end
-            origin.row_hit = row_hit
-            origins[slot] = None
-        callbacks = queue.callbacks
-        callback = callbacks[slot]
         # Inline-push contract (events.py): both targets are strictly
         # future cycles (burst_end >= now + CL + burst, the next tick is
         # now + CMD_GAP), so they go straight onto the heap.
@@ -503,11 +476,7 @@ class Channel:
             seq = events._seq
             _heappush(heap, (burst_end, seq, callback))
             events._seq = seq + 1
-            callbacks[slot] = None
-        # Recycle the slot (origins/callbacks were cleared above only
-        # when set — the SoA fast path leaves both None).
-        queue.free.append(slot)
-        if reads.count or writes.count:
+        if reads or writes:
             self._tick_scheduled = True
             seq = events._seq
             _heappush(heap, (now + _CMD_GAP, seq, self._tick_cb))
@@ -520,17 +489,18 @@ class Channel:
         tRFC.  M2 (NVM) configures t_refi = 0 and never refreshes
         (Section 4.1).  Processing lazily at request issue is exact for
         timing because refresh only matters when traffic arrives.
-        Vectorized over the module's bank-key slice.
         """
         lo = module_state.lo
         hi = module_state.hi
-        ready_slice = self._ready_at[lo:hi]
+        ready = self._ready_at
         while now >= module_state.next_refresh:
             start = module_state.next_refresh
             end = start + module_state.t_rfc
-            self._open_row[lo:hi] = NO_ROW
-            self._dirty[lo:hi] = 0
-            np.maximum(ready_slice, end, out=ready_slice)
+            self._open_row[lo:hi] = [NO_ROW] * (hi - lo)
+            self._dirty[lo:hi] = [0] * (hi - lo)
+            for key in range(lo, hi):
+                if ready[key] < end:
+                    ready[key] = end
             module_state.next_refresh = start + module_state.t_refi
             self.stats.refreshes += 1
             if self._energy is not None:
@@ -563,12 +533,12 @@ class Channel:
         # and dirty (their array write-back is pending).
         m1_key = m1_bank
         m2_key = self._banks_per_rank + m2_bank
-        self._open_row_v[m1_key] = m1_row
-        self._ready_at_v[m1_key] = end
-        self._dirty_v[m1_key] = 1
-        self._open_row_v[m2_key] = m2_row
-        self._ready_at_v[m2_key] = end
-        self._dirty_v[m2_key] = 1
+        self._open_row[m1_key] = m1_row
+        self._ready_at[m1_key] = end
+        self._dirty[m1_key] = 1
+        self._open_row[m2_key] = m2_row
+        self._ready_at[m2_key] = end
+        self._dirty[m2_key] = 1
         self._streak = 0
         self.stats.swaps += 1
         if self._energy is not None:

@@ -1,10 +1,9 @@
-"""Memory request and device-address types."""
+"""Memory request kinds and device-address types."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional
 
 
 class Module(IntEnum):
@@ -39,59 +38,3 @@ class DeviceAddress:
     module: Module
     bank: int
     row: int
-
-
-class MemRequest:
-    """One 64-B request presented to a channel.
-
-    ``on_complete`` is invoked once, with the completion cycle, when the
-    data burst for this request finishes (reads) or when the write is
-    accepted onto the data bus (writes are posted).
-
-    A hand-rolled ``__slots__`` class rather than a dataclass: one of
-    these is allocated per memory access, so construction cost and
-    attribute-access cost are both on the kernel's critical path.
-    """
-
-    __slots__ = (
-        "core_id",
-        "address",
-        "is_write",
-        "arrival",
-        "kind",
-        "on_complete",
-        "completion",
-        "row_hit",
-    )
-
-    def __init__(
-        self,
-        core_id: int,
-        address: DeviceAddress,
-        is_write: bool,
-        arrival: int,
-        kind: RequestKind = RequestKind.DATA,
-        on_complete: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        self.core_id = core_id
-        self.address = address
-        self.is_write = is_write
-        self.arrival = arrival
-        self.kind = kind
-        self.on_complete = on_complete
-        #: Set by the channel when the request is scheduled.
-        self.completion = -1
-        #: True if the access hit in the open row buffer.
-        self.row_hit = False
-
-    def __repr__(self) -> str:  # debugging aid; never on the hot path
-        return (
-            f"MemRequest(core_id={self.core_id}, address={self.address!r}, "
-            f"is_write={self.is_write}, arrival={self.arrival}, "
-            f"kind={self.kind!r})"
-        )
-
-    @property
-    def served_from_m1(self) -> bool:
-        """Whether this request was served by the M1 (DRAM) module."""
-        return self.address.module is Module.M1

@@ -26,10 +26,11 @@ class AccessContext:
     """Everything a policy may inspect about one served request.
 
     The controller keeps ONE mutable instance and rewrites its fields for
-    every served request (the context used to be the most-constructed
-    object after :class:`MemRequest`).  The contract for policies: read
-    fields synchronously inside :meth:`MigrationPolicy.on_access`, never
-    retain the object or schedule deferred work that dereferences it.
+    every served request (a fresh context per request used to be one of
+    the most-constructed objects in the simulator).  The contract for
+    policies: read fields synchronously inside
+    :meth:`MigrationPolicy.on_access`, never retain the object or
+    schedule deferred work that dereferences it.
     """
 
     #: Core (program) that issued the request.

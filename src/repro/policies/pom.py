@@ -35,7 +35,7 @@ from repro.policies.registry import register_policy
 SAMPLE_STRIDE = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class CompetingCounter:
     """Per-group majority-element automaton over M2 slots."""
 
@@ -97,13 +97,6 @@ class PoMPolicy(MigrationPolicy):
         self.threshold_history: list[Optional[int]] = []
 
     # ------------------------------------------------------------------
-    def _counter_for(self, group: int) -> CompetingCounter:
-        counter = self._counters.get(group)
-        if counter is None:
-            counter = CompetingCounter()
-            self._counters[group] = counter
-        return counter
-
     def _shadows_for(self, group: int) -> list[ShadowState]:
         shadows = self._shadows.get(group)
         if shadows is None:
@@ -113,10 +106,13 @@ class PoMPolicy(MigrationPolicy):
 
     # ------------------------------------------------------------------
     def on_access(self, ctx: AccessContext) -> Optional[int]:
-        weight = self.access_weight(ctx.is_write)
-        counter = self._counter_for(ctx.group)
+        weight = self.write_weight if ctx.is_write else 1
+        group = ctx.group
+        counter = self._counters.get(group)
+        if counter is None:
+            counter = self._counters[group] = CompetingCounter()
         decision: Optional[int] = None
-        if ctx.in_m1:
+        if ctx.location == 0:  # ctx.in_m1, sans the property call
             counter.observe_m1(weight)
         else:
             counter.observe_m2(ctx.slot, weight, self._pom.counter_max)
@@ -126,7 +122,7 @@ class PoMPolicy(MigrationPolicy):
                 and counter.value >= self.threshold
             ):
                 decision = ctx.slot
-        if ctx.group % SAMPLE_STRIDE == 0:
+        if group % SAMPLE_STRIDE == 0:
             self._update_shadows(ctx, weight)
         self._requests_in_epoch += 1
         if self._requests_in_epoch >= self._pom.epoch_requests:
@@ -134,7 +130,10 @@ class PoMPolicy(MigrationPolicy):
         return decision
 
     def on_swap(self, group: int, promoted_slot: int, demoted_slot: int) -> None:
-        self._counter_for(group).reset()
+        # A group with no counter yet is already in the reset state.
+        counter = self._counters.get(group)
+        if counter is not None:
+            counter.reset()
 
     # ------------------------------------------------------------------
     def _update_shadows(self, ctx: AccessContext, weight: int) -> None:

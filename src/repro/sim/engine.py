@@ -11,6 +11,7 @@ retired over elapsed cycles at that instant.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.common.config import SystemConfig
@@ -105,22 +106,26 @@ class SimulationDriver:
             self._program_tables[self.program_of_core[core_id]]
             for core_id in range(len(self.traces))
         ]
+        # Every frame is allocated above, so each core replays its trace
+        # already translated to physical lines and calls the controller
+        # directly; only a warm-up run interposes ``_access``.
+        access = self._access if warmup_requests > 0 else self.controller.access
         self.cores = [
             TraceCore(
                 core_id=core_id,
                 config=config.core,
-                trace=trace,
+                trace=replace(
+                    trace,
+                    lines=table.translate_lines(trace.lines, LINES_PER_PAGE),
+                ),
                 events=self.events,
-                access=self._access,
+                access=access,
                 on_pass_complete=self._on_pass_complete,
             )
-            for core_id, (_name, trace) in enumerate(self.traces)
+            for core_id, ((_name, trace), table) in enumerate(
+                zip(self.traces, self.page_tables)
+            )
         ]
-        # Per-request bindings for _access (one call per demand request).
-        self._translators = [
-            table.translate_line for table in self.page_tables
-        ]
-        self._controller_access = self.controller.access
         self._first_pass_done = [False] * len(self.cores)
         self._end_cycle: Optional[int] = None
         self._instruction_snapshot: Optional[list[int]] = None
@@ -149,7 +154,8 @@ class SimulationDriver:
         self._ran = False
 
     # ------------------------------------------------------------------
-    def _access(self, core_id, virtual_line, is_write, on_complete) -> None:
+    def _access(self, core_id, line, is_write, on_complete) -> None:
+        """The cores' access hook on warm-up runs: snapshot, then serve."""
         if (
             not self._warmed
             and self.controller.total_requests() >= self._warmup_requests
@@ -159,8 +165,7 @@ class SimulationDriver:
             self._warmup_instructions = [
                 core.instructions_retired for core in self.cores
             ]
-        physical_line = self._translators[core_id](virtual_line, LINES_PER_PAGE)
-        self._controller_access(core_id, physical_line, is_write, on_complete)
+        self.controller.access(core_id, line, is_write, on_complete)
 
     def _on_pass_complete(self, core_id: int, now: int) -> bool:
         self._first_pass_done[core_id] = True

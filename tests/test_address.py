@@ -1,9 +1,10 @@
 """Address-map arithmetic tests (Section 2.3 / Figure 3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.config import paper_quad_core
+from repro.common.config import paper_quad_core, paper_single_core
 from repro.hybrid.address import AddressMap
 from repro.mem.request import Module
 
@@ -66,6 +67,22 @@ class TestRegions:
             b0, b1 = amap.blocks_of_page(page)
             assert amap.slot_of_block(b0) == amap.slot_of_block(b1)
             assert amap.segment_of_page(page) == amap.slot_of_block(b0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [paper_quad_core(scale=64), paper_single_core(scale=128)],
+        ids=["quad64", "single128"],
+    )
+    def test_region_tables_match_the_scalar_methods(self, config):
+        amap = AddressMap(config)
+        groups = np.arange(amap.total_groups, dtype=np.int64)
+        assert amap.region_of_groups(groups).tolist() == [
+            amap.region_of_group(group) for group in range(amap.total_groups)
+        ]
+        pages = np.arange(amap.total_pages, dtype=np.int64)
+        assert amap.region_of_pages(pages).tolist() == [
+            amap.region_of_page(page) for page in range(amap.total_pages)
+        ]
 
     def test_all_regions_reachable(self, amap):
         regions = {

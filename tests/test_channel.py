@@ -1,16 +1,17 @@
 """Channel timing-model tests: row hits/misses, write recovery, idle
-close, bus serialization, swap blocking."""
+close, bus serialization, swap blocking, and the request queues."""
 
 
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
-from repro.mem.channel import Channel
+from repro.mem.channel import NO_ROW, Channel
 from repro.mem.power import EnergyMeter
 from repro.common.config import EnergyConfig
-from repro.mem.request import DeviceAddress, MemRequest, Module, RequestKind
+from repro.mem.request import Module, RequestKind
 
 M1 = MemTimings.dram()
 M2 = MemTimings.nvm_from_dram()
+BANKS = 16
 
 
 def make_channel(idle_close=0, swap_latency=2548, energy=None):
@@ -19,7 +20,7 @@ def make_channel(idle_close=0, swap_latency=2548, energy=None):
         events=events,
         m1_timings=M1,
         m2_timings=M2,
-        banks_per_rank=16,
+        banks_per_rank=BANKS,
         frfcfs_cap=4,
         energy=energy,
         swap_latency=swap_latency,
@@ -28,78 +29,104 @@ def make_channel(idle_close=0, swap_latency=2548, energy=None):
     return events, channel
 
 
-def read(module, bank, row, done):
-    return MemRequest(
-        core_id=0,
-        address=DeviceAddress(module, bank, row),
-        is_write=False,
-        arrival=0,
-        on_complete=done,
-    )
+def enqueue(channel, module, bank, row, done=None, is_write=False,
+            kind=RequestKind.DATA):
+    """Queue one request that arrived at cycle 0."""
+    channel.enqueue_soa(module * BANKS + bank, row, is_write, 0, kind, done)
 
 
-def run_one(events, channel, request):
+def run_one(events, channel, module, bank, row, is_write=False):
     done = []
-    request.on_complete = lambda c: done.append(c)
-    channel.enqueue(request)
+    enqueue(channel, module, bank, row, done.append, is_write)
     events.run()
     assert len(done) == 1
     return done[0]
 
 
+class TestQueues:
+    def test_enqueue_records_entries_in_arrival_order(self):
+        _events, channel = make_channel()
+        done = lambda now: None
+        channel.enqueue_soa(3, 40, False, 100, 0, done)
+        channel.enqueue_soa(7, 41, True, 101, 2)
+        channel.enqueue_soa(5, 42, False, 102, 1)
+        assert channel._reads == [(3, 40, 100, 0, done), (5, 42, 102, 1, None)]
+        # Posted writes complete at acceptance: the queue keeps no callback.
+        assert channel._writes == [(7, 41, 101, 2, None)]
+        assert channel.queue_depth() == 3
+
+    def test_tick_dequeues_entry_and_schedules_completion(self):
+        events, channel = make_channel()
+        done = []
+        channel.enqueue_soa(1, 1, False, 0, 0, done.append)
+        channel._tick_python(0)
+        assert channel._reads == []
+        assert channel.queue_depth() == 0
+        events.run()
+        assert done == [M1.t_rcd + M1.cl + M1.line_burst]
+
+    def test_release_drops_queued_completions(self):
+        _events, channel = make_channel()
+        channel.enqueue_soa(0, 1, False, 5, 0, lambda now: None)
+        channel.release()
+        assert channel._reads == [(0, 1, 5, 0, None)]
+        assert channel.queue_depth() == 1
+
+    def test_no_row_sentinel_is_outside_the_st_row_namespace(self):
+        # ST rows use a negative namespace (-1 - k): the sentinel must
+        # never collide with a representable row id.
+        assert NO_ROW < -(1 << 40)
+        _events, channel = make_channel()
+        assert channel.bank(Module.M1, 0).open_row is None
+
+
 class TestSingleRequestLatency:
     def test_m1_cold_miss(self):
         events, channel = make_channel()
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None))
+        latency = run_one(events, channel, Module.M1, 0, 0)
         # No precharge on a closed bank: tRCD + CL + burst.
         assert latency == M1.t_rcd + M1.cl + M1.line_burst
 
     def test_m2_cold_miss_is_ten_x_trcd(self):
         events, channel = make_channel()
-        latency = run_one(events, channel, read(Module.M2, 0, 0, None))
+        latency = run_one(events, channel, Module.M2, 0, 0)
         assert latency == M2.t_rcd + M2.cl + M2.line_burst
         assert M2.t_rcd == 10 * M1.t_rcd
 
     def test_row_hit_is_cas_plus_burst(self):
         events, channel = make_channel()
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 0) - start
         assert latency == M1.cl + M1.line_burst
 
     def test_row_conflict_pays_precharge(self):
         events, channel = make_channel()
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 1, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 1) - start
         assert latency == M1.t_rp + M1.t_rcd + M1.cl + M1.line_burst
 
     def test_dirty_row_conflict_pays_write_recovery(self):
         events, channel = make_channel()
-        req = read(Module.M2, 0, 0, None)
-        req.is_write = True
-        run_one(events, channel, req)
+        run_one(events, channel, Module.M2, 0, 0, is_write=True)
         # Sync past the drained write's burst (it ends by 500 cycles).
         events.schedule(600, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M2, 0, 1, None)) - start
+        latency = run_one(events, channel, Module.M2, 0, 1) - start
         expected = M2.t_wr + M2.t_rp + M2.t_rcd + M2.cl + M2.line_burst
         assert latency == expected
 
     def test_write_hit_does_not_pay_recovery_inline(self):
         # Writes into an open row buffer are cheap; tWR is deferred.
         events, channel = make_channel()
-        w1 = read(Module.M2, 0, 0, None)
-        w1.is_write = True
-        run_one(events, channel, w1)
+        run_one(events, channel, Module.M2, 0, 0, is_write=True)
         events.schedule(600, lambda c: None)
         events.run()
         # The second write drains as a row hit: bank busy only CAS + burst
         # beyond the first write's burst end (500).
-        w2 = read(Module.M2, 0, 0, None)
-        w2.is_write = True
-        run_one(events, channel, w2)
+        run_one(events, channel, Module.M2, 0, 0, is_write=True)
         bank = channel.bank(Module.M2, 0)
         assert bank.ready_at == 600 + M2.cl + M2.line_burst
 
@@ -107,34 +134,32 @@ class TestSingleRequestLatency:
 class TestIdleClose:
     def test_idle_row_closes(self):
         events, channel = make_channel(idle_close=480)  # 150 ns
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         # Wait out the idle window.
         events.schedule(events.now + 10_000, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 0) - start
         # Same row, but it was closed: full activate, no precharge stall
         # (precharge happened in the background long ago).
         assert latency == M1.t_rcd + M1.cl + M1.line_burst
 
     def test_prompt_reuse_still_hits(self):
         events, channel = make_channel(idle_close=480)
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 0) - start
         assert latency == M1.cl + M1.line_burst
 
     def test_dirty_idle_close_can_delay_reactivation(self):
         events, channel = make_channel(idle_close=480)
-        w = read(Module.M2, 0, 0, None)
-        w.is_write = True
-        run_one(events, channel, w)
+        run_one(events, channel, Module.M2, 0, 0, is_write=True)
         # The write drains by cycle 500; arrive just after its row's
         # idle-close begins, while the tWR tail is still draining.
         events.schedule(500 + 481, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M2, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M2, 0, 0) - start
         assert latency > M2.t_rcd + M2.cl + M2.line_burst
 
 
@@ -142,13 +167,11 @@ class TestBusSerialization:
     def test_two_hits_same_cycle_serialize_on_bus(self):
         events, channel = make_channel()
         # Open two rows on different banks first.
-        run_one(events, channel, read(Module.M1, 0, 0, None))
-        run_one(events, channel, read(Module.M1, 1, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
+        run_one(events, channel, Module.M1, 1, 0)
         done = []
-        a = read(Module.M1, 0, 0, lambda c: done.append(c))
-        b = read(Module.M1, 1, 0, lambda c: done.append(c))
-        channel.enqueue(a)
-        channel.enqueue(b)
+        enqueue(channel, Module.M1, 0, 0, done.append)
+        enqueue(channel, Module.M1, 1, 0, done.append)
         events.run()
         assert len(done) == 2
         assert abs(done[1] - done[0]) >= M1.line_burst
@@ -159,10 +182,8 @@ class TestBusSerialization:
         # Two cold misses on different banks: the second's activation
         # overlaps the first's, so completion gap is far below a full
         # serial miss latency.
-        a = read(Module.M2, 0, 0, lambda c: done.append(c))
-        b = read(Module.M2, 1, 0, lambda c: done.append(c))
-        channel.enqueue(a)
-        channel.enqueue(b)
+        enqueue(channel, Module.M2, 0, 0, done.append)
+        enqueue(channel, Module.M2, 1, 0, done.append)
         events.run()
         serial = 2 * (M2.t_rcd + M2.cl + M2.line_burst)
         assert max(done) < serial
@@ -173,7 +194,7 @@ class TestSwaps:
         events, channel = make_channel()
         end = channel.schedule_swap(0, 0, 0, 0)
         assert end == 2548
-        latency = run_one(events, channel, read(Module.M1, 1, 0, None))
+        latency = run_one(events, channel, Module.M1, 1, 0)
         assert latency >= 2548
 
     def test_swap_leaves_rows_open_dirty(self):
@@ -182,7 +203,7 @@ class TestSwaps:
         events.schedule(end, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 2, 7, None)) - start
+        latency = run_one(events, channel, Module.M1, 2, 7) - start
         assert latency == M1.cl + M1.line_burst
 
     def test_swap_completion_callback(self):
@@ -207,30 +228,23 @@ class TestSwaps:
 class TestStats:
     def test_read_latency_tracks_data_reads_only(self):
         events, channel = make_channel()
-        st = MemRequest(
-            core_id=0,
-            address=DeviceAddress(Module.M1, 0, -1),
-            is_write=False,
-            arrival=0,
-            kind=RequestKind.ST_READ,
-        )
-        channel.enqueue(st)
+        enqueue(channel, Module.M1, 0, -1, kind=RequestKind.ST_READ)
         events.run()
         assert channel.stats.read_count == 0
         assert channel.stats.st_reads == 1
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         assert channel.stats.read_count == 1
 
     def test_row_hit_counter(self):
         events, channel = make_channel()
-        run_one(events, channel, read(Module.M1, 0, 0, None))
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
+        run_one(events, channel, Module.M1, 0, 0)
         assert channel.stats.row_hits == 1
 
     def test_energy_recording(self):
         meter = EnergyMeter(EnergyConfig(), num_channels=1)
         events, channel = make_channel(energy=meter)
-        run_one(events, channel, read(Module.M2, 0, 0, None))
+        run_one(events, channel, Module.M2, 0, 0)
         assert meter.activates[Module.M2] == 1
         assert meter.line_reads[Module.M2] == 1
 
@@ -245,23 +259,23 @@ class TestStats:
 class TestRefresh:
     def test_m1_refresh_closes_rows(self):
         events, channel = make_channel()
-        run_one(events, channel, read(Module.M1, 0, 0, None))
+        run_one(events, channel, Module.M1, 0, 0)
         # Jump past several refresh intervals.
         events.schedule(events.now + 3 * M1.t_refi, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 0) - start
         # Row was closed by refresh: the access re-activates.
         assert latency >= M1.t_rcd + M1.cl + M1.line_burst
         assert channel.stats.refreshes >= 3
 
     def test_m2_never_refreshes(self):
         events, channel = make_channel()
-        run_one(events, channel, read(Module.M2, 0, 0, None))
+        run_one(events, channel, Module.M2, 0, 0)
         events.schedule(events.now + 10 * M1.t_refi, lambda c: None)
         events.run()
         before = channel.stats.refreshes
-        run_one(events, channel, read(Module.M2, 1, 0, None))
+        run_one(events, channel, Module.M2, 1, 0)
         assert channel.stats.refreshes == before
         assert M2.t_refi == 0
 
@@ -271,7 +285,7 @@ class TestRefresh:
         events.schedule(M1.t_refi, lambda c: None)
         events.run()
         start = events.now
-        latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
+        latency = run_one(events, channel, Module.M1, 0, 0) - start
         assert latency >= M1.t_rfc
 
 
@@ -279,21 +293,15 @@ class TestWriteQueue:
     def test_write_acceptance_is_immediate(self):
         events, channel = make_channel()
         accepted = []
-        w = read(Module.M1, 0, 0, None)
-        w.is_write = True
-        w.on_complete = lambda c: accepted.append(c)
-        channel.enqueue(w)
+        enqueue(channel, Module.M1, 0, 0, accepted.append, is_write=True)
         events.step()  # acceptance event only
         assert accepted and accepted[0] == 0
 
     def test_reads_prioritized_over_buffered_writes(self):
         events, channel = make_channel()
         order = []
-        w = read(Module.M2, 0, 5, None)
-        w.is_write = True
-        channel.enqueue(w)
-        r = read(Module.M1, 1, 0, lambda c: order.append("read"))
-        channel.enqueue(r)
+        enqueue(channel, Module.M2, 0, 5, is_write=True)
+        enqueue(channel, Module.M1, 1, 0, lambda c: order.append("read"))
         events.run()
         # The read completes long before the slow M2 write would have.
         assert channel.stats.reads == 1
@@ -303,9 +311,7 @@ class TestWriteQueue:
     def test_writes_drain_when_idle(self):
         events, channel = make_channel()
         for row in range(3):
-            w = read(Module.M1, 0, row, None)
-            w.is_write = True
-            channel.enqueue(w)
+            enqueue(channel, Module.M1, 0, row, is_write=True)
         events.run()
         assert channel.stats.writes == 3
         assert channel.queue_depth() == 0
@@ -315,10 +321,10 @@ class TestWriteQueue:
         accepted = []
         total = Channel.WRITE_QUEUE_CAP + 8
         for index in range(total):
-            w = read(Module.M2, index % 16, index, None)
-            w.is_write = True
-            w.on_complete = lambda c, i=index: accepted.append(i)
-            channel.enqueue(w)
+            enqueue(
+                channel, Module.M2, index % 16, index,
+                lambda c, i=index: accepted.append(i), is_write=True,
+            )
         # Before any draining, only the first CAP writes are accepted.
         assert len(accepted) <= Channel.WRITE_QUEUE_CAP
         events.run()
@@ -327,11 +333,9 @@ class TestWriteQueue:
     def test_high_watermark_forces_drain_despite_reads(self):
         events, channel = make_channel()
         for index in range(Channel.WRITE_QUEUE_HIGH):
-            w = read(Module.M1, index % 16, index, None)
-            w.is_write = True
-            channel.enqueue(w)
+            enqueue(channel, Module.M1, index % 16, index, is_write=True)
         # A steady read stream would otherwise starve the writes.
         for index in range(4):
-            channel.enqueue(read(Module.M1, index % 16, 100 + index, None))
+            enqueue(channel, Module.M1, index % 16, 100 + index)
         events.run()
         assert channel.stats.writes == Channel.WRITE_QUEUE_HIGH

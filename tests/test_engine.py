@@ -5,7 +5,7 @@ import pytest
 from repro.common.config import paper_quad_core, paper_single_core
 from repro.common.errors import SimulationError
 from repro.sim.engine import SimulationDriver
-from repro.traces.generator import synthesize_trace
+from repro.traces.generator import LINES_PER_PAGE, synthesize_trace
 
 QUAD = paper_quad_core(scale=128)
 SINGLE = paper_single_core(scale=128)
@@ -83,6 +83,37 @@ class TestMultiProgram:
         )
         result = driver.run()
         assert result.cycles <= 60_000
+
+
+class TestTranslation:
+    def _traces(self):
+        return [
+            ("zeusmp", trace("zeusmp", 600, 0)),
+            ("leslie3d", trace("leslie3d", 400, 1)),
+        ]
+
+    def test_cores_replay_translated_traces(self):
+        traces = self._traces()
+        driver = SimulationDriver(QUAD, "pom", traces)
+        for core, table, (_name, original) in zip(
+            driver.cores, driver.page_tables, traces
+        ):
+            assert core.trace.lines.tolist() == [
+                table.translate_line(line, LINES_PER_PAGE)
+                for line in original.lines.tolist()
+            ]
+            assert core.trace.gaps is original.gaps
+            assert core.trace.writes is original.writes
+
+    def test_no_warmup_binds_cores_to_the_controller(self):
+        driver = SimulationDriver(QUAD, "pom", self._traces())
+        assert all(core.access == driver.controller.access for core in driver.cores)
+
+    def test_warmup_interposes_the_driver(self):
+        driver = SimulationDriver(
+            QUAD, "pom", self._traces(), warmup_requests=100
+        )
+        assert all(core.access == driver._access for core in driver.cores)
 
 
 class TestValidation:

@@ -84,7 +84,7 @@ def test_max_cycles_cutoff_is_freed():
     refs = component_refs(driver)
     result = driver.run()
     assert all(program.passes_completed == 0 for program in result.programs)
-    assert any(channel._reads.count for channel in channels)
+    assert any(len(channel._reads) for channel in channels)
     del driver, result, channels
     assert_freed(refs)
 

@@ -97,7 +97,7 @@ class TestDecisions:
         policy.threshold = 1
         assert policy.on_access(make_ctx()) == 2
         policy.on_swap(1, 2, 0)
-        counter = policy._counter_for(1)
+        counter = policy._counters[1]
         assert counter.value == 0
 
 

@@ -1,6 +1,8 @@
 """Region map and OS page-frame allocator tests (Section 3.1.1)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.config import paper_quad_core
 from repro.common.errors import ConfigError, SimulationError
@@ -43,7 +45,24 @@ class TestRegionMap:
             RegionMap(amap, num_programs=128)
 
 
+def _loop_free_lists(amap, rng):
+    """The per-page loop the allocator's vectorized free lists replace."""
+    free = {region: [] for region in range(amap.num_regions)}
+    for page in range(amap.total_pages):
+        free[amap.region_of_page(page)].append(page)
+    for frames in free.values():
+        rng.shuffle(frames)
+    return free
+
+
 class TestAllocator:
+    def test_free_lists_match_the_per_page_loop(self, setup):
+        amap, regions, _alloc = setup
+        allocator = OSAllocator(amap, regions, make_rng(3, "alloc"))
+        reference = _loop_free_lists(amap, make_rng(3, "alloc"))
+        assert list(allocator._free) == list(reference)
+        assert allocator._free == reference
+
     def test_allocates_requested_count(self, setup):
         _amap, _regions, alloc = setup
         frames = alloc.allocate(0, 100)
@@ -136,3 +155,24 @@ class TestPageTable:
         table = PageTable(0, alloc, num_pages=8)
         frames = {table.translate_line(v * 64, 64) // 64 for v in range(8)}
         assert len(frames) == 8
+
+    @given(
+        num_pages=st.integers(min_value=1, max_value=40),
+        lines_per_page=st.sampled_from([64, 1, 7, 32, 100]),
+        lines=st.lists(st.integers(min_value=0, max_value=10_000), max_size=50),
+    )
+    def test_translate_lines_matches_translate_line(
+        self, num_pages, lines_per_page, lines
+    ):
+        # Lines run far past the footprint, so pages wrap around it.
+        amap = AddressMap(paper_quad_core(scale=64))
+        regions = RegionMap(amap, num_programs=4)
+        allocator = OSAllocator(amap, regions, make_rng(0, "test-alloc"))
+        table = PageTable(1, allocator, num_pages=num_pages)
+        translated = table.translate_lines(
+            np.array(lines, dtype=np.int64), lines_per_page
+        )
+        assert translated.dtype == np.int64
+        assert translated.tolist() == [
+            table.translate_line(line, lines_per_page) for line in lines
+        ]

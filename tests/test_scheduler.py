@@ -1,7 +1,7 @@
 """FR-FCFS-Cap scheduling tests (Section 4.1: cap = 4).
 
 The simulator's only FR-FCFS-Cap implementation is the channel's fused
-tick (``Channel._tick_python``), which walks the columnar read queue in
+tick (``Channel._tick_python``), which walks the channel's read queue in
 place.  This module keeps an independent scalar reference scheduler,
 :class:`FrFcfsCapScheduler`, tests it on its own, and then runs it in
 lockstep with the production tick: before every tick the oracle picks
@@ -21,7 +21,7 @@ from repro.common.config import MemTimings
 from repro.common.errors import InvalidValueError
 from repro.common.events import EventQueue
 from repro.mem.channel import Channel
-from repro.mem.request import DeviceAddress, MemRequest, Module
+from repro.mem.request import DeviceAddress, Module
 
 T = TypeVar("T")
 
@@ -68,20 +68,15 @@ class FrFcfsCapScheduler:
         return chosen
 
 
-def _req(bank: int, row: int) -> MemRequest:
-    return MemRequest(
-        core_id=0,
-        address=DeviceAddress(Module.M1, bank, row),
-        is_write=False,
-        arrival=0,
-    )
+def _req(bank: int, row: int) -> DeviceAddress:
+    return DeviceAddress(Module.M1, bank, row)
 
 
 class TestSelection:
     def test_prefers_row_hit_over_older_miss(self):
         sched = FrFcfsCapScheduler(cap=4)
         pending = [_req(0, 1), _req(0, 2)]
-        chosen = sched.select(pending, lambda r: r.address.row == 2)
+        chosen = sched.select(pending, lambda r: r.row == 2)
         assert chosen == 1
 
     def test_oldest_when_no_hits(self):
@@ -91,7 +86,7 @@ class TestSelection:
 
     def test_cap_limits_consecutive_hits(self):
         sched = FrFcfsCapScheduler(cap=2)
-        hit = lambda r: r.address.row == 9
+        hit = lambda r: r.row == 9
         pending = [_req(0, 1), _req(0, 9)]
         # Two hits allowed...
         assert sched.select(pending, hit) == 1
@@ -101,7 +96,7 @@ class TestSelection:
 
     def test_miss_resets_streak(self):
         sched = FrFcfsCapScheduler(cap=2)
-        hit = lambda r: r.address.row == 9
+        hit = lambda r: r.row == 9
         pending_hit = [_req(0, 1), _req(0, 9)]
         sched.select(pending_hit, hit)
         sched.select([_req(0, 1)], hit)  # a miss
@@ -118,7 +113,7 @@ class TestSelection:
     def test_oldest_hit_chosen_first(self):
         sched = FrFcfsCapScheduler(cap=4)
         pending = [_req(0, 5), _req(1, 9), _req(2, 9)]
-        hit = lambda r: r.address.row == 9
+        hit = lambda r: r.row == 9
         assert sched.select(pending, hit) == 1
 
 
@@ -147,7 +142,7 @@ class _Lockstep:
 
     The model queue holds ``(request id, bank key, row)`` oldest first;
     the id travels through the channel as the request's ``arrival``
-    column, which is how the channel's queue is read back.
+    field, which is how the channel's queue is read back.
     """
 
     def __init__(self, cap: int, open_rows: Optional[dict[int, int]] = None) -> None:
@@ -174,8 +169,7 @@ class _Lockstep:
 
     def queued_ids(self) -> list[int]:
         """The channel's read queue as request ids, oldest first."""
-        reads = self.channel._reads
-        return [reads.arrival_v[slot] for slot in reads.order_v[: reads.count]]
+        return [arrival for _key, _row, arrival, _kind, _done in self.channel._reads]
 
     def _is_row_hit(self, request: tuple[int, int, int]) -> bool:
         _id, key, row = request
@@ -204,7 +198,7 @@ class _Lockstep:
 
 
 class TestBatchedSelection:
-    """FR-FCFS-Cap as the channel tick runs it over its queue columns."""
+    """FR-FCFS-Cap as the channel tick runs it over its read queue."""
 
     def test_cap_exhaustion_mid_batch_falls_back_to_oldest(self):
         # Row 9 is open in bank 0: its hits win until the streak reaches
