@@ -82,11 +82,11 @@ class CacheHierarchy:
         while pending:
             index, key, dirty = pending.pop()
             victim = self._levels[index].insert(key, key, dirty=dirty)
-            if victim is not None and victim.dirty:
+            if victim is not None and victim[2]:  # (key, value, dirty)
                 if index + 1 < self.num_levels:
-                    pending.append((index + 1, victim.key, True))
+                    pending.append((index + 1, victim[0], True))
                 else:
-                    writebacks.append(victim.key)
+                    writebacks.append(victim[0])
         if is_write:
             self._levels[0].mark_dirty(line)
         return HierarchyAccessResult(hit_level, latency, tuple(writebacks))

@@ -8,22 +8,11 @@ the array does not interpret addresses beyond set indexing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Generic, Optional, TypeVar
 
 from repro.common.errors import ConfigError
 
 V = TypeVar("V")
-
-
-@dataclass
-class EvictedLine(Generic[V]):
-    """What fell out of the cache on an insertion."""
-
-    key: int
-    value: V
-    dirty: bool
-
 
 REPLACEMENT_POLICIES = ("lru", "fifo", "random", "lru-lip", "lfu")
 
@@ -133,8 +122,11 @@ class SetAssociativeCache(Generic[V]):
         if slot is not None:
             slot[1] = True
 
-    def insert(self, key: int, value: V, dirty: bool = False) -> Optional[EvictedLine[V]]:
-        """Insert ``key``; returns the evicted line if the set was full.
+    def insert(
+        self, key: int, value: V, dirty: bool = False
+    ) -> Optional[tuple[int, V, bool]]:
+        """Insert ``key``; returns the evicted ``(key, value, dirty)``
+        if the set was full.
 
         Inserting an already-resident key updates it in place (returns
         None); this mirrors a fill racing a hit.
@@ -148,7 +140,7 @@ class SetAssociativeCache(Generic[V]):
             if self._is_lfu:
                 self._freq[key] = self._freq.get(key, 0) + 1
             return None
-        victim: Optional[EvictedLine[V]] = None
+        victim: Optional[tuple[int, V, bool]] = None
         if len(entry_set) >= self.associativity:
             if self.replacement == "random":
                 keys = list(entry_set)
@@ -164,7 +156,7 @@ class SetAssociativeCache(Generic[V]):
                 victim_key, (victim_value, victim_dirty) = entry_set.popitem(
                     last=False
                 )
-            victim = EvictedLine(victim_key, victim_value, victim_dirty)
+            victim = (victim_key, victim_value, victim_dirty)
             if self._is_lfu:
                 self._freq.pop(victim_key, None)
         entry_set[key] = [value, dirty]

@@ -11,13 +11,11 @@ the amount of accurate state to what is resident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.cache.sets import SetAssociativeCache
 
 
-@dataclass(slots=True)
 class STCEntry:
     """Accurate per-block state kept only while the ST entry is cached.
 
@@ -29,14 +27,18 @@ class STCEntry:
     per-request path resolves both structures with one cache probe.
     """
 
-    group: int
-    qac_at_insert: tuple[int, ...]
-    counters: list[int] = field(default_factory=list)
-    st_entry: object = None
+    __slots__ = ("group", "qac_at_insert", "counters", "st_entry")
 
-    def __post_init__(self) -> None:
-        if not self.counters:
-            self.counters = [0] * len(self.qac_at_insert)
+    def __init__(
+        self,
+        group: int,
+        qac_at_insert: tuple[int, ...],
+        st_entry: object = None,
+    ) -> None:
+        self.group = group
+        self.qac_at_insert = qac_at_insert
+        self.counters = [0] * len(qac_at_insert)
+        self.st_entry = st_entry
 
     def count(self, location: int) -> int:
         """Access count of ``location`` since insertion."""
@@ -132,21 +134,20 @@ class STC:
     ) -> Optional[STCEntry]:
         """Insert a freshly fetched ST entry; returns the evicted entry.
 
-        ``qac_values`` is the QAC field of the ST entry at fetch time; the
-        per-location access counters start at zero (Section 3.2.1).
-        ``st_entry`` is stored as the new entry's back-reference.
-        Eviction callbacks run before this method returns, so MDM statistics
-        and ST write-back happen at the architecturally correct instant.
+        ``qac_values`` is the QAC field of the ST entry at fetch time, a
+        tuple the new entry keeps as its q_I snapshot; the per-location
+        access counters start at zero (Section 3.2.1).  ``st_entry`` is
+        stored as the new entry's back-reference.  Eviction callbacks run
+        before this method returns, so MDM statistics and ST write-back
+        happen at the architecturally correct instant.
         """
-        entry = STCEntry(
-            group=group, qac_at_insert=tuple(qac_values), st_entry=st_entry
-        )
-        victim = self._array.insert(group, entry)
+        victim = self._array.insert(group, STCEntry(group, qac_values, st_entry))
         if victim is None:
             return None
+        evicted = victim[1]
         for callback in self._eviction_callbacks:
-            callback(victim.value)
-        return victim.value
+            callback(evicted)
+        return evicted
 
     def flush(self) -> list[STCEntry]:
         """Evict everything (end-of-simulation bookkeeping); returns entries."""

@@ -338,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_transport_flag(perf_parser)
     perf_parser.add_argument(
-        "--components",
-        action="store_true",
-        help="also run each scenario once with per-component timing "
-        "(instrumented event loop; slower) and print the breakdown",
-    )
-    perf_parser.add_argument(
         "--decode",
         action="store_true",
         help="also benchmark trace decoding itself: the legacy "
@@ -678,10 +672,8 @@ def _perf(args: argparse.Namespace) -> int:
         compatibility_warnings,
         markdown_summary,
         run_kernel_benchmark,
-        standard_scenarios,
         write_bench_json,
     )
-    from repro.perf.profile import KernelProfile
 
     progress = print if args.verbose else None
     payload = run_kernel_benchmark(
@@ -712,14 +704,6 @@ def _perf(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else Path("BENCH_kernel.json")
     write_bench_json(payload, out)
     print(f"wrote {out}")
-
-    if args.components:
-        for scenario in standard_scenarios(quick=args.quick):
-            profile = KernelProfile(component_timing=True)
-            scenario.build_driver(profile).run()
-            print(f"\n{scenario.name}: time per component (instrumented)")
-            for label, calls, seconds in profile.component_table()[:12]:
-                print(f"  {label:<40} {calls:>9,} calls  {seconds:>8.3f}s")
 
     baseline = None
     if args.baseline is not None:

@@ -22,12 +22,16 @@ the same sequence as a single ``(cycle, sequence)`` heap.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Callable, Optional
 
 from repro.common.errors import SimulationError
 
 Callback = Callable[[int], None]
+
+#: Stand-in for an absent ``run`` guard: no budget or cycle reaches it.
+_NEVER = sys.maxsize
 
 
 class EventQueue:
@@ -130,125 +134,28 @@ class EventQueue:
         """
         # Local bindings: the loop below is the hottest few lines of the
         # whole simulator, so every global/attribute lookup it avoids is
-        # paid back millions of times.
+        # paid back millions of times.  The ``range`` iterator counts the
+        # budget in C: one loop serves every combination of guards.
         heap = self._heap
         fifo = self._fifo
         heappop = heapq.heappop
         popleft = fifo.popleft
         now = self._now
-        processed = 0
-
-        if max_events is None and stop_after_cycle is None:
-            while heap or fifo:
-                if fifo and (not heap or heap[0][0] > now):
-                    popleft()(now)
-                    processed += 1
-                    # Same-cycle drain: a callback can only add heap
-                    # events beyond ``now`` (same-cycle schedules land on
-                    # the FIFO), so the guard above stays true until the
-                    # FIFO empties — no need to re-check the heap head.
-                    while fifo:
-                        popleft()(now)
-                        processed += 1
-                else:
-                    entry = heappop(heap)
-                    self._now = now = entry[0]
-                    entry[2](now)
-                    processed += 1
-            return processed
-
-        limit = max_events if max_events is not None else -1
-
-        if stop_after_cycle is None:
-            # Budget-guarded production loop (the driver always sets
-            # ``max_events``): one extra integer compare per event.
-            while heap or fifo:
-                if processed == limit:
-                    raise SimulationError(
-                        f"event budget of {max_events} exhausted; likely a hang"
-                    )
-                if fifo and (not heap or heap[0][0] > now):
-                    popleft()(now)
-                    processed += 1
-                    # Same-cycle drain (see the unbounded loop above).
-                    while fifo:
-                        if processed == limit:
-                            raise SimulationError(
-                                f"event budget of {max_events} exhausted; "
-                                "likely a hang"
-                            )
-                        popleft()(now)
-                        processed += 1
-                else:
-                    entry = heappop(heap)
-                    self._now = now = entry[0]
-                    entry[2](now)
-                    processed += 1
-            return processed
-
-        while heap or fifo:
-            if processed == limit:
-                raise SimulationError(
-                    f"event budget of {max_events} exhausted; likely a hang"
-                )
+        stop = stop_after_cycle if stop_after_cycle is not None else _NEVER
+        limit = max_events if max_events is not None else _NEVER
+        for processed in range(limit):
             if fifo and (not heap or heap[0][0] > now):
                 popleft()(now)
-            else:
+            elif heap:
                 entry = heappop(heap)
                 self._now = now = entry[0]
                 entry[2](now)
-            processed += 1
-            if now > stop_after_cycle:
-                break
-        return processed
-
-    def run_profiled(
-        self,
-        buckets: dict[str, list],
-        max_events: Optional[int] = None,
-        stop_after_cycle: Optional[int] = None,
-    ) -> int:
-        """Like :meth:`run`, but times every callback into ``buckets``.
-
-        ``buckets`` maps a component label (the callback's qualified name)
-        to a ``[calls, seconds]`` accumulator.  This loop is deliberately
-        separate from :meth:`run` so profiling costs nothing when off.
-        """
-        from time import perf_counter
-
-        processed = 0
-        while self._heap or self._fifo:
-            if max_events is not None and processed == max_events:
-                raise SimulationError(
-                    f"event budget of {max_events} exhausted; likely a hang"
-                )
-            heap = self._heap
-            fifo = self._fifo
-            if fifo and (not heap or heap[0][0] > self._now):
-                callback = fifo.popleft()
             else:
-                cycle, _, callback = heapq.heappop(heap)
-                self._now = cycle
-            label = _callback_label(callback)
-            started = perf_counter()
-            callback(self._now)
-            elapsed = perf_counter() - started
-            bucket = buckets.get(label)
-            if bucket is None:
-                buckets[label] = [1, elapsed]
-            else:
-                bucket[0] += 1
-                bucket[1] += elapsed
-            processed += 1
-            if stop_after_cycle is not None and self._now > stop_after_cycle:
-                break
-        return processed
-
-
-def _callback_label(callback: Callback) -> str:
-    """Component label for one event callback (profiling bucket key)."""
-    func = getattr(callback, "func", callback)  # unwrap functools.partial
-    qualname = getattr(func, "__qualname__", None)
-    if qualname is not None:
-        return qualname
-    return type(callback).__name__
+                return processed
+            if now > stop:
+                return processed + 1
+        if heap or fifo:
+            raise SimulationError(
+                f"event budget of {max_events} exhausted; likely a hang"
+            )
+        return limit

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.config import SystemConfig
+from repro.common.errors import InvalidValueError
 from repro.cache.stc import STCEntry
 from repro.core.mdm_stats import MDMProgramStats
 from repro.core.qac import quantize_access_count
@@ -49,6 +50,14 @@ class MDMPolicy(MigrationPolicy):
         self.write_weight = config.write_access_weight
         self._mdm = config.mdm
         self._stats: dict[int, MDMProgramStats] = {}
+        # QAC value (Table 5) of every count up to the counter ceiling
+        # and the top boundary, so an eviction indexes instead of
+        # searching the boundaries; larger counts share the top bucket.
+        top = max(self._mdm.access_counter_max, self._mdm.qac_boundaries[-1])
+        self._qac_of = [
+            quantize_access_count(count, self._mdm.qac_boundaries)
+            for count in range(top + 1)
+        ]
         self.decisions = 0
         self.promotions = 0
         #: Optional predictor-calibration instrumentation: at the first
@@ -121,13 +130,16 @@ class MDMPolicy(MigrationPolicy):
     def on_st_eviction(self, stc_entry: STCEntry, st_entry: STEntry) -> None:
         """Update Table 6 statistics and write back QAC values (Sec. 3.2.1)."""
         controller = self._controller
-        boundaries = self._mdm.qac_boundaries
+        qac_of = self._qac_of
+        top = len(qac_of) - 1
         if self.record_predictions:
             self._close_predictions(stc_entry)
         for slot, count in enumerate(stc_entry.counters):
-            if count == 0:
+            if count <= 0:
+                if count:
+                    raise InvalidValueError(f"negative access count {count}")
                 continue  # QAC not updated for untouched blocks
-            q_e = quantize_access_count(count, boundaries)
+            q_e = qac_of[count] if count <= top else qac_of[top]
             if q_e == 0:
                 # Possible only with ablated boundaries whose first bucket
                 # starts above 1: a barely-touched block stays "unseen".

@@ -184,8 +184,7 @@ def _header(description: str) -> list[str]:
         "",
         "Profiling a run: `profess perf` measures kernel throughput on two",
         "fixed scenarios and writes `BENCH_kernel.json` (`--quick` for",
-        "CI-sized traces, `--components` for a per-component time",
-        "breakdown, `--baseline <json>` to fail on a throughput",
+        "CI-sized traces, `--baseline <json>` to fail on a throughput",
         "regression); `profess run <id> --profile` prints the cProfile",
         "hot-function table for one experiment (use `--jobs 1` so the",
         "simulation stays in the profiled process).  See DESIGN.md §10.",

@@ -15,11 +15,14 @@ regions follow Figure 3's pattern: group pair (2k, 2k+1) belongs to region
 
 Every quantity here is a pure function of the configuration, so the
 per-request work is precomputed where it pays: power-of-two divisors
-become masks and shifts at construction time, and the two device-address
-translations (data blocks and ST entries) are memoized — the simulator
-asks for the same handful of ``BlockLocation`` objects millions of times,
-and rebuilding two frozen dataclasses per request was one of the kernel's
-largest allocation sinks.
+become masks and shifts at construction time, and the simulator reads
+device locations as plain ``(channel, bank_key, row)`` tuples from two
+flat memos (data blocks and ST entries) that integer arithmetic fills
+on first touch.  The memos hold only the locations a run touches, so
+they stay small at any scale.  :meth:`AddressMap.data_location` and
+:meth:`AddressMap.st_location` spell the same mapping out as
+:class:`BlockLocation` objects; they are the reference the memos are
+tested against.
 """
 
 from __future__ import annotations
@@ -38,10 +41,8 @@ class BlockLocation:
     """Where a block currently lives: channel + device address.
 
     ``bank_key`` and ``row`` are the flat spellings
-    ``Channel.enqueue_soa`` consumes directly (``bank_key = module *
-    banks_per_rank + bank``); they are precomputed once per memoized
-    location so the per-request path reads two plain ints instead of
-    re-deriving them from ``address``.
+    ``Channel.enqueue_soa`` consumes (``bank_key = module *
+    banks_per_rank + bank``), as in the simulator's location tuples.
     """
 
     channel: int
@@ -89,10 +90,15 @@ class AddressMap:
             if _mask_and_shift(self.num_regions) is not None
             else None
         )
-        # Memoized device-address translations, keyed by
-        # group * group_size + location (data) and group (ST).
-        self._data_locations: dict[int, BlockLocation] = {}
-        self._st_locations: dict[int, BlockLocation] = {}
+        #: Lazily filled ``(channel, bank_key, row)`` memos, keyed by
+        #: ``group * group_size + location`` (data) and by group (ST).
+        #: The controller probes them directly and calls
+        #: :meth:`fill_data_loc` / :meth:`fill_st_loc` on a miss.
+        self.data_locs: dict[int, tuple[int, int, int]] = {}
+        self.st_locs: dict[int, tuple[int, int, int]] = {}
+        self._st_entries_per_row = (
+            self.st_entries_per_line * self.st_lines_per_row
+        )
 
     # -- block/group arithmetic -----------------------------------------
     def group_of_block(self, block: int) -> int:
@@ -175,6 +181,28 @@ class AddressMap:
         return self.slot_of_block(2 * page)
 
     # -- device addresses --------------------------------------------------
+    def fill_data_loc(self, group: int, location: int) -> tuple[int, int, int]:
+        """Memoize and return :meth:`data_location` as a flat tuple."""
+        local, channel = divmod(group, self.num_channels)
+        if location:
+            block_index = local * (self.group_size - 1) + location - 1
+            base = self.banks  # M2's bank keys follow M1's
+        else:
+            block_index = local
+            base = 0
+        row, bank = divmod(block_index // self.blocks_per_row, self.banks)
+        loc = (channel, base + bank, row)
+        self.data_locs[group * self.group_size + location] = loc
+        return loc
+
+    def fill_st_loc(self, group: int) -> tuple[int, int, int]:
+        """Memoize and return :meth:`st_location` as a flat tuple."""
+        local, channel = divmod(group, self.num_channels)
+        row, bank = divmod(local // self._st_entries_per_row, self.banks)
+        loc = (channel, bank, -1 - row)
+        self.st_locs[group] = loc
+        return loc
+
     def data_location(self, group: int, location: int) -> BlockLocation:
         """Device address of a swap-group location's 2-KB block.
 
@@ -182,10 +210,6 @@ class AddressMap:
         blocks.  Consecutive blocks within a module share rows
         (``blocks_per_row`` per row) and rows interleave across banks.
         """
-        key = group * self.group_size + location
-        cached = self._data_locations.get(key)
-        if cached is not None:
-            return cached
         channel = self.channel_of_group(group)
         local = self.channel_group_index(group)
         if location == 0:
@@ -197,14 +221,12 @@ class AddressMap:
         row_global = block_index // self.blocks_per_row
         bank = row_global % self.banks
         row = row_global // self.banks
-        result = BlockLocation(
+        return BlockLocation(
             channel,
             DeviceAddress(module, bank, row),
             module * self.banks + bank,
             row,
         )
-        self._data_locations[key] = result
-        return result
 
     def st_location(self, group: int) -> BlockLocation:
         """Device address of a group's ST entry (stored in M1, Sec. 2.2).
@@ -212,17 +234,12 @@ class AddressMap:
         ST rows use a disjoint negative row namespace so table traffic
         contends for M1 banks without aliasing data rows.
         """
-        cached = self._st_locations.get(group)
-        if cached is not None:
-            return cached
         channel = self.channel_of_group(group)
         local = self.channel_group_index(group)
         line = local // self.st_entries_per_line
         row_global = line // self.st_lines_per_row
         bank = row_global % self.banks
         row = -1 - (row_global // self.banks)
-        result = BlockLocation(
+        return BlockLocation(
             channel, DeviceAddress(Module.M1, bank, row), bank, row
         )
-        self._st_locations[group] = result
-        return result

@@ -15,7 +15,7 @@ organization, which is the paper's comparison methodology (Section 2.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from heapq import heappush as _heappush
 from typing import Callable, Optional
@@ -38,9 +38,9 @@ from repro.policies.base import AccessContext, MigrationPolicy
 
 CompletionCallback = Callable[[int], None]
 
-# Integer request kinds as the columnar channel path spells them
-# (== RequestKind.DATA/ST_READ/ST_WRITE, kept as plain ints so the
-# per-request path pushes literals instead of enum attributes).
+# Integer request kinds as the channel's queue tuples and counter slots
+# spell them (== RequestKind.DATA/ST_READ/ST_WRITE, kept as plain ints so
+# the per-request path pushes literals instead of enum attributes).
 _KIND_DATA = 0
 _KIND_ST_READ = 1
 _KIND_ST_WRITE = 2
@@ -60,13 +60,6 @@ class CoreMemStats:
     def m1_fraction(self) -> float:
         """Fraction of this core's requests served from M1 (Figure 6)."""
         return self.served_from_m1 / self.requests if self.requests else 0.0
-
-
-@dataclass(slots=True)
-class _PendingFetch:
-    """An in-flight ST-entry fetch with the accesses waiting on it."""
-
-    continuations: list[Callable[[int], None]] = field(default_factory=list)
 
 
 class HybridMemoryController:
@@ -106,8 +99,10 @@ class HybridMemoryController:
         "_groups_mask",
         "_groups_shift",
         "_region_of",
-        "_data_location",
-        "_data_loc_cache",
+        "_data_locs",
+        "_fill_data_loc",
+        "_st_locs",
+        "_fill_st_loc",
         "_group_size",
         "_enqueue_soa",
         "_frame_owners",
@@ -146,7 +141,6 @@ class HybridMemoryController:
         if set(self.program_of_core) != set(range(self.num_programs)):
             raise ConfigError("program ids must be dense starting at 0")
         self.address_map = AddressMap(config)
-        self.energy = EnergyMeter(config.energy, config.num_channels)
         swap_latency = config.swap_latency_cycles()
         self.channels = [
             Channel(
@@ -155,16 +149,18 @@ class HybridMemoryController:
                 m2_timings=config.m2_timings,
                 banks_per_rank=config.hybrid.banks_per_rank,
                 frfcfs_cap=config.frfcfs_cap,
-                energy=self.energy,
                 swap_latency=swap_latency,
                 lines_per_block=config.hybrid.lines_per_block,
                 row_idle_close=cpu_cycles_from_ns(config.row_idle_close_ns),
             )
             for _ in range(config.num_channels)
         ]
-        # Bound columnar-enqueue methods, one per channel: the request
-        # path indexes this list instead of re-binding ``enqueue_soa``
-        # per request.
+        self.energy = EnergyMeter(
+            config.energy, [channel.stats for channel in self.channels]
+        )
+        # Bound enqueue methods, one per channel: the request path
+        # indexes this list by a location's channel instead of re-binding
+        # ``enqueue_soa`` per request.
         self._enqueue_soa = [channel.enqueue_soa for channel in self.channels]
         self.st = SwapGroupTable(config.total_groups, config.hybrid.group_size)
         # Composable policy axes (repro.policies.registry): the policy
@@ -204,7 +200,8 @@ class HybridMemoryController:
         )
         self.core_stats = [CoreMemStats() for _ in range(config.num_cores)]
         self.total_swaps = 0
-        self._pending_fetches: dict[int, _PendingFetch] = {}
+        #: group -> continuations waiting on its in-flight ST fetch.
+        self._pending_fetches: dict[int, list[Callable[[int], None]]] = {}
         self._swap_pending: set[int] = set()
         policy.bind(self)
         # Hot-path constants, resolved once.  ``access_weight`` depends
@@ -239,11 +236,12 @@ class HybridMemoryController:
         self._region_of = self.address_map.region_of_groups(
             np.arange(config.total_groups, dtype=np.int64)
         ).tolist()
-        self._data_location = self.address_map.data_location
-        # The translation memo itself, so the hit path (every request
-        # after the first touch of a location) is a dict probe here
-        # instead of a method call; misses fall back to the method.
-        self._data_loc_cache = self.address_map._data_locations
+        # The location memos themselves, so every request after the first
+        # touch of a location is one dict probe; a miss fills the memo.
+        self._data_locs = self.address_map.data_locs
+        self._fill_data_loc = self.address_map.fill_data_loc
+        self._st_locs = self.address_map.st_locs
+        self._fill_st_loc = self.address_map.fill_st_loc
         self._group_size = config.hybrid.group_size
         self._frame_owners = self.allocator.frame_owners
         self._private_region = self.region_map.private_region
@@ -329,18 +327,19 @@ class HybridMemoryController:
         self, core_id: int, group: int, continuation: Callable[[int], None]
     ) -> None:
         """Fetch a missing ST entry from M1; coalesce concurrent misses."""
-        pending = self._pending_fetches.get(group)
-        if pending is not None:
-            pending.continuations.append(continuation)
+        waiting = self._pending_fetches.get(group)
+        if waiting is not None:
+            waiting.append(continuation)
             return
-        pending = _PendingFetch(continuations=[continuation])
-        self._pending_fetches[group] = pending
-        location = self.address_map.st_location(group)
-        self._enqueue_soa[location.channel](
-            location.bank_key,
-            location.row,
+        self._pending_fetches[group] = [continuation]
+        channel, bank_key, row = (
+            self._st_locs.get(group) or self._fill_st_loc(group)
+        )
+        self._enqueue_soa[channel](
+            bank_key,
+            row,
             False,
-            self.events.now,
+            self.events._now,
             _KIND_ST_READ,
             partial(self._fill_st_entry, group),
         )
@@ -348,9 +347,8 @@ class HybridMemoryController:
     def _fill_st_entry(self, group: int, cycle: int) -> None:
         """ST-entry fetch completion: fill the STC, release waiters."""
         st_entry = self.st.entry(group)
-        self.stc.insert(group, tuple(st_entry.qac), st_entry=st_entry)
-        fetch = self._pending_fetches.pop(group)
-        for waiting in fetch.continuations:
+        self.stc.insert(group, tuple(st_entry.qac), st_entry)
+        for waiting in self._pending_fetches.pop(group):
             waiting(cycle)
 
     def _serve(
@@ -421,11 +419,10 @@ class HybridMemoryController:
         ctx.now = now
         promote_slot = self._policy_on_access(ctx)
 
-        block_location = self._data_loc_cache.get(
-            group * self._group_size + location
+        key = group * self._group_size + location
+        channel, bank_key, row = (
+            self._data_locs.get(key) or self._fill_data_loc(group, location)
         )
-        if block_location is None:
-            block_location = self._data_location(group, location)
 
         if (
             promote_slot is None
@@ -445,13 +442,8 @@ class HybridMemoryController:
                 self._complete_and_promote, group, promote_slot, on_complete
             )
 
-        self._enqueue_soa[block_location.channel](
-            block_location.bank_key,
-            block_location.row,
-            is_write,
-            now,
-            _KIND_DATA,
-            on_data_complete,
+        self._enqueue_soa[channel](
+            bank_key, row, is_write, now, _KIND_DATA, on_data_complete
         )
 
     def _complete_and_promote(
@@ -483,8 +475,15 @@ class HybridMemoryController:
         self._swap_pending.add(group)
         demote_slot = st_entry.m1_slot
         m2_location = st_entry.location_of(slot)
-        m1_address = self.address_map.data_location(group, 0)
-        m2_address = self.address_map.data_location(group, m2_location)
+        key = group * self._group_size
+        channel, m1_key, m1_row = (
+            self._data_locs.get(key) or self._fill_data_loc(group, 0)
+        )
+        _, m2_key, m2_row = (
+            self._data_locs.get(key + m2_location)
+            or self._fill_data_loc(group, m2_location)
+        )
+        m2_bank = m2_key - self.address_map.banks
 
         owner_promoted = self.owner_of_slot(group, slot)
         owner_demoted = st_entry.m1_owner
@@ -518,21 +517,10 @@ class HybridMemoryController:
 
         on_swap_done = partial(self._finish_swap, group)
 
-        channel = self.channels[m1_address.channel]
+        schedule_swap = self.channels[channel].schedule_swap
         if restore:
-            channel.schedule_swap(
-                m1_bank=m1_address.address.bank,
-                m1_row=m1_address.address.row,
-                m2_bank=m2_address.address.bank,
-                m2_row=m2_address.address.row,
-            )
-        channel.schedule_swap(
-            m1_bank=m1_address.address.bank,
-            m1_row=m1_address.address.row,
-            m2_bank=m2_address.address.bank,
-            m2_row=m2_address.address.row,
-            on_complete=on_swap_done,
-        )
+            schedule_swap(m1_key, m1_row, m2_bank, m2_row)
+        schedule_swap(m1_key, m1_row, m2_bank, m2_row, on_swap_done)
         self.policy.on_swap(group, slot, demote_slot)
         return True
 
@@ -551,13 +539,12 @@ class HybridMemoryController:
         if max(stc_entry.counters) > 0:
             # QAC values changed: write the ST entry back to M1 (the paper
             # notes this read-modify-write is typical regardless, Sec. 3.2.1).
-            location = self.address_map.st_location(stc_entry.group)
-            self._enqueue_soa[location.channel](
-                location.bank_key,
-                location.row,
-                True,
-                self.events.now,
-                _KIND_ST_WRITE,
+            group = stc_entry.group
+            channel, bank_key, row = (
+                self._st_locs.get(group) or self._fill_st_loc(group)
+            )
+            self._enqueue_soa[channel](
+                bank_key, row, True, self.events._now, _KIND_ST_WRITE
             )
 
     # ------------------------------------------------------------------

@@ -35,7 +35,6 @@ HOT_CLASSES: frozenset[str] = frozenset(
         "repro.cpu.core_model.TraceCore",
         "repro.hybrid.memory.CoreMemStats",
         "repro.hybrid.memory.HybridMemoryController",
-        "repro.hybrid.memory._PendingFetch",
         "repro.hybrid.st.SwapGroupTable",
         "repro.hybrid.st_entry.STEntry",
         "repro.mem.channel.Channel",

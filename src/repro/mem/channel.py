@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
-from repro.mem.power import EnergyMeter
 from repro.mem.request import Module
 
 # Module-level spellings of the channel's tuning constants: the tick
@@ -45,6 +44,15 @@ _WRITE_QUEUE_CAP = 32
 #: area uses a *negative* row namespace (``-1 - k``), so the sentinel
 #: must sit far below any representable row id, not at ``-1``.
 NO_ROW = -(1 << 60)
+
+# Served-traffic counter layout.  Slot ``kind << 3 | module << 2 |
+# is_write << 1 | row_hit`` counts the requests served with that key
+# (kinds are the RequestKind values 0-2); three more slots hold the
+# demand-read latency sum, the swaps and the refreshes.
+_SERVED_SLOTS = 24
+_LATENCY_SUM = 24
+_SWAPS = 25
+_REFRESHES = 26
 
 
 class BankView:
@@ -94,37 +102,96 @@ class BankView:
 
 
 class ChannelStats:
-    """Per-channel served-traffic statistics."""
+    """Per-channel served-traffic statistics, read from the channel's
+    counter list.
 
-    __slots__ = (
-        "reads",
-        "writes",
-        "row_hits",
-        "swaps",
-        "read_latency_sum",
-        "read_count",
-        "st_reads",
-        "st_writes",
-        "refreshes",
-    )
+    Holds the list, not the channel, so it closes no reference cycle.
+    Every served request counts once, by kind, module, direction and row
+    hit; a row miss is one activation.  A swap moves ``lines_per_block``
+    lines each way on both modules after one activation on each.
+    """
 
-    def __init__(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.row_hits = 0
-        self.swaps = 0
-        self.read_latency_sum = 0
-        self.read_count = 0
-        self.st_reads = 0
-        self.st_writes = 0
-        self.refreshes = 0
+    __slots__ = ("_counts", "_lines_per_block")
+
+    def __init__(self, counts: list[int], lines_per_block: int) -> None:
+        self._counts = counts
+        self._lines_per_block = lines_per_block
+
+    def _served(
+        self,
+        kind: Optional[int] = None,
+        module: Optional[int] = None,
+        is_write: Optional[int] = None,
+        row_hit: Optional[int] = None,
+    ) -> int:
+        """Served requests whose key matches every given field."""
+        return sum(
+            count
+            for slot, count in enumerate(self._counts[:_SERVED_SLOTS])
+            if (kind is None or slot >> 3 == kind)
+            and (module is None or slot >> 2 & 1 == module)
+            and (is_write is None or slot >> 1 & 1 == is_write)
+            and (row_hit is None or slot & 1 == row_hit)
+        )
+
+    @property
+    def reads(self) -> int:
+        return self._served(is_write=0)
+
+    @property
+    def writes(self) -> int:
+        return self._served(is_write=1)
+
+    @property
+    def row_hits(self) -> int:
+        return self._served(row_hit=1)
+
+    @property
+    def st_reads(self) -> int:
+        return self._served(kind=1)
+
+    @property
+    def st_writes(self) -> int:
+        return self._served(kind=2)
+
+    @property
+    def read_count(self) -> int:
+        """Demand reads served (the latency sum's denominator)."""
+        return self._served(kind=0, is_write=0)
+
+    @property
+    def read_latency_sum(self) -> int:
+        return self._counts[_LATENCY_SUM]
+
+    @property
+    def swaps(self) -> int:
+        return self._counts[_SWAPS]
+
+    @property
+    def refreshes(self) -> int:
+        return self._counts[_REFRESHES]
 
     @property
     def average_read_latency(self) -> float:
         """Mean read latency in CPU cycles (queueing included)."""
-        if self.read_count == 0:
+        read_count = self.read_count
+        if read_count == 0:
             return 0.0
-        return self.read_latency_sum / self.read_count
+        return self.read_latency_sum / read_count
+
+    def activates(self, module: int) -> int:
+        """Row activations on ``module``."""
+        return self._served(module=module, row_hit=0) + self.swaps
+
+    def line_reads(self, module: int) -> int:
+        """64-B lines read from ``module``."""
+        swapped = self.swaps * self._lines_per_block
+        return self._served(module=module, is_write=0) + swapped
+
+    def line_writes(self, module: int) -> int:
+        """64-B lines written to ``module``."""
+        swapped = self.swaps * self._lines_per_block
+        return self._served(module=module, is_write=1) + swapped
 
 
 class ModuleState:
@@ -174,9 +241,7 @@ class Channel:
         "_modules",
         "_streak",
         "_cap",
-        "_energy",
         "_swap_latency",
-        "_lines_per_block",
         "_row_idle_close",
         "_banks_per_rank",
         "_reads",
@@ -191,6 +256,7 @@ class Channel:
         "_dirty",
         "_closed_until",
         "_tick_cb",
+        "_counts",
         "stats",
         "__weakref__",
     )
@@ -202,7 +268,6 @@ class Channel:
         m2_timings: MemTimings,
         banks_per_rank: int,
         frfcfs_cap: int,
-        energy: Optional[EnergyMeter] = None,
         swap_latency: int = 0,
         lines_per_block: int = 32,
         row_idle_close: int = 0,
@@ -221,9 +286,7 @@ class Channel:
         # and the cap after which the oldest request issues regardless.
         self._streak = 0
         self._cap = frfcfs_cap
-        self._energy = energy
         self._swap_latency = swap_latency
-        self._lines_per_block = lines_per_block
         self._row_idle_close = row_idle_close
         self._banks_per_rank = banks_per_rank
         # Bank state, both modules back to back: key =
@@ -244,7 +307,10 @@ class Channel:
         self._tick_scheduled = False
         # The tick, bound once: every kick and reschedule reuses it.
         self._tick_cb = self._tick_python
-        self.stats = ChannelStats()
+        # Served traffic (see ``_SERVED_SLOTS``): the tick bumps one slot
+        # per request; ``stats`` and the energy meter read the list.
+        self._counts = [0] * (_REFRESHES + 1)
+        self.stats = ChannelStats(self._counts, lines_per_block)
 
     def bank(self, module: Module, index: int) -> BankView:
         """One bank's state (inspection helper for tests and policies)."""
@@ -407,7 +473,6 @@ class Channel:
             self._closed_until[key] = bank_ready + row_idle_close + penalty
             orow = NO_ROW
             dirty[key] = 0
-        energy = self._energy
         if orow == row:
             # Row-buffer hit: CAS only; writes land in the row buffer
             # and defer their cell-write cost to the eventual precharge.
@@ -431,8 +496,6 @@ class Channel:
             data_ready = (
                 prep_start + precharge + module_state.t_rcd + module_state.cl
             )
-            if energy is not None:
-                energy.activates[module] += 1
             new_dirty = 1 if is_write else 0
         burst_start = data_ready
         if self._bus_free_at > burst_start:
@@ -443,30 +506,11 @@ class Channel:
         ready[key] = burst_end
         dirty[key] = new_dirty
         # --- record served traffic and schedule the completion ---
-        stats = self.stats
-        if kind == 0:  # RequestKind.DATA
-            # Demand traffic first: it dominates the served stream.
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-                # Latency statistics track demand reads only (AMMAT).
-                stats.read_latency_sum += burst_end - arrival
-                stats.read_count += 1
-        else:
-            if kind == 1:  # RequestKind.ST_READ
-                stats.st_reads += 1
-            else:
-                stats.st_writes += 1
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-        if row_hit:
-            stats.row_hits += 1
-        if energy is not None:
-            counters = energy.line_writes if is_write else energy.line_reads
-            counters[module] += 1
+        counts = self._counts
+        counts[kind << 3 | module << 2 | is_write << 1 | row_hit] += 1
+        if kind == 0 and not is_write:
+            # Latency statistics track demand reads only (AMMAT).
+            counts[_LATENCY_SUM] += burst_end - arrival
         # Inline-push contract (events.py): both targets are strictly
         # future cycles (burst_end >= now + CL + burst, the next tick is
         # now + CMD_GAP), so they go straight onto the heap.
@@ -502,9 +546,7 @@ class Channel:
                 if ready[key] < end:
                     ready[key] = end
             module_state.next_refresh = start + module_state.t_refi
-            self.stats.refreshes += 1
-            if self._energy is not None:
-                self._energy.record_refresh()
+            self._counts[_REFRESHES] += 1
 
     # ------------------------------------------------------------------
     # Swaps
@@ -540,15 +582,7 @@ class Channel:
         self._ready_at[m2_key] = end
         self._dirty[m2_key] = 1
         self._streak = 0
-        self.stats.swaps += 1
-        if self._energy is not None:
-            lines = self._lines_per_block
-            self._energy.record_activate(Module.M1)
-            self._energy.record_activate(Module.M2)
-            self._energy.record_line(Module.M1, is_write=False, count=lines)
-            self._energy.record_line(Module.M2, is_write=False, count=lines)
-            self._energy.record_line(Module.M1, is_write=True, count=lines)
-            self._energy.record_line(Module.M2, is_write=True, count=lines)
+        self._counts[_SWAPS] += 1
         if on_complete is not None:
             self._events.schedule(end, on_complete)
         return end

@@ -1,64 +1,74 @@
 """Off-chip memory energy accounting (Figures 12 and 15).
 
 The paper reports energy efficiency as requests served per second per watt,
-using power reported by the memory simulator.  We accumulate dynamic energy
-per event (activates and 64-B line transfers per module) plus background
-power integrated over simulated time, and expose requests/J, which equals
+using power reported by the memory simulator.  Dynamic energy comes from
+the events the channels count as they serve traffic (activates and 64-B
+line transfers per module, refreshes), background power is integrated
+over simulated time, and the meter exposes requests/J, which equals
 requests per second per watt.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.common.config import EnergyConfig
 from repro.common.units import NS_PER_CPU_CYCLE
+from repro.mem.channel import ChannelStats
 from repro.mem.request import Module
 
 
 class EnergyMeter:
-    """Accumulates memory-system energy for one simulation."""
+    """Memory-system energy of one simulation, read from its channels.
 
-    def __init__(self, config: EnergyConfig, num_channels: int) -> None:
+    The meter adds nothing per event: activates, line transfers and
+    refreshes are read from each channel's statistics on demand.
+    ``activates``, ``line_reads`` and ``line_writes`` are lists indexed
+    by :class:`Module`.
+    """
+
+    def __init__(
+        self, config: EnergyConfig, channels: Sequence[ChannelStats]
+    ) -> None:
         self._config = config
-        self._num_channels = num_channels
-        # Lists indexed by Module (an IntEnum), not dicts: the channel
-        # records a line transfer per served request, and list indexing
-        # skips the enum hashing.  ``meter.activates[Module.M1]`` reads
-        # the same either way.
-        self.activates = [0, 0]
-        self.line_reads = [0, 0]
-        self.line_writes = [0, 0]
-        self.refreshes = 0
+        self._channels = tuple(channels)
+        #: Demand requests served (the requests/J numerator), settled by
+        #: the controller's ``finalize()``.
         self.requests_served = 0
 
-    def record_activate(self, module: Module) -> None:
-        """One row activation on ``module``."""
-        self.activates[module] += 1
+    @property
+    def activates(self) -> list[int]:
+        """Row activations per module, all channels."""
+        return [sum(c.activates(m) for c in self._channels) for m in Module]
 
-    def record_line(self, module: Module, is_write: bool, count: int = 1) -> None:
-        """``count`` 64-B line transfers on ``module``."""
-        if is_write:
-            self.line_writes[module] += count
-        else:
-            self.line_reads[module] += count
+    @property
+    def line_reads(self) -> list[int]:
+        """64-B lines read per module, all channels."""
+        return [sum(c.line_reads(m) for c in self._channels) for m in Module]
 
-    def record_refresh(self) -> None:
-        """One all-bank refresh cycle (M1 only; NVM has no refresh)."""
-        self.refreshes += 1
+    @property
+    def line_writes(self) -> list[int]:
+        """64-B lines written per module, all channels."""
+        return [sum(c.line_writes(m) for c in self._channels) for m in Module]
 
-    def record_served_request(self, count: int = 1) -> None:
-        """Count demand requests for the requests/J numerator."""
-        self.requests_served += count
+    @property
+    def refreshes(self) -> int:
+        """All-bank refresh cycles (M1 only; NVM has no refresh)."""
+        return sum(c.refreshes for c in self._channels)
 
     def dynamic_energy_nj(self) -> float:
         """Total dynamic energy in nanojoules."""
         c = self._config
+        activates = self.activates
+        line_reads = self.line_reads
+        line_writes = self.line_writes
         return (
-            self.activates[Module.M1] * c.m1_activate_nj
-            + self.activates[Module.M2] * c.m2_activate_nj
-            + self.line_reads[Module.M1] * c.m1_read_line_nj
-            + self.line_writes[Module.M1] * c.m1_write_line_nj
-            + self.line_reads[Module.M2] * c.m2_read_line_nj
-            + self.line_writes[Module.M2] * c.m2_write_line_nj
+            activates[Module.M1] * c.m1_activate_nj
+            + activates[Module.M2] * c.m2_activate_nj
+            + line_reads[Module.M1] * c.m1_read_line_nj
+            + line_writes[Module.M1] * c.m1_write_line_nj
+            + line_reads[Module.M2] * c.m2_read_line_nj
+            + line_writes[Module.M2] * c.m2_write_line_nj
             + self.refreshes * c.m1_refresh_nj
         )
 
@@ -70,7 +80,7 @@ class EnergyMeter:
         c = self._config
         seconds = elapsed_cycles * NS_PER_CPU_CYCLE * 1e-9
         watts = (c.m1_background_mw + c.m2_background_mw) * 1e-3
-        return watts * self._num_channels * seconds * 1e9
+        return watts * len(self._channels) * seconds * 1e9
 
     def total_energy_j(self, elapsed_cycles: int) -> float:
         """Total memory-system energy in joules."""

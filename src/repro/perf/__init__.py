@@ -2,8 +2,8 @@
 
 The simulator's value scales with simulated requests per wall-second;
 this package is the layer that measures it: :class:`KernelProfile`
-accumulates throughput counters for one or more runs (optionally with
-per-component time buckets), and :mod:`repro.perf.bench` defines the
+accumulates throughput counters for one or more runs, and
+:mod:`repro.perf.bench` defines the
 standard kernel benchmark behind ``profess perf`` / ``BENCH_kernel.json``.
 """
 

@@ -3,12 +3,8 @@
 A :class:`KernelProfile` is handed to :class:`repro.sim.engine.
 SimulationDriver` and accumulates events processed, demand requests
 served, simulated cycles, and wall-clock seconds across one or more
-runs.  When ``component_timing`` is enabled the driver switches to the
-instrumented event loop (:meth:`EventQueue.run_profiled`), which times
-every callback into per-component buckets — useful for finding the next
-hot spot, at a substantial slowdown.  With the flag off (the default)
-the kernel runs the uninstrumented fast path and the profile costs one
-attribute check per run, not per event.
+runs.  It reads the clock at both ends of a run and costs nothing per
+event; a per-layer time split comes from ``perfbench --trace 1``.
 """
 
 from __future__ import annotations
@@ -23,23 +19,14 @@ class KernelProfile:
         "cycles_simulated",
         "wall_seconds",
         "runs",
-        "component_timing",
-        "component_buckets",
     )
 
-    def __init__(self, component_timing: bool = False) -> None:
+    def __init__(self) -> None:
         self.events_processed = 0
         self.requests_served = 0
         self.cycles_simulated = 0
         self.wall_seconds = 0.0
         self.runs = 0
-        #: When True, the driver uses the instrumented event loop and
-        #: fills ``component_buckets``; when False the buckets stay empty
-        #: and the kernel pays nothing per event.
-        self.component_timing = component_timing
-        #: label -> [calls, seconds]; labels are callback qualnames
-        #: (e.g. ``Channel._tick``, ``TraceCore._dispatch``).
-        self.component_buckets: dict[str, list] = {}
 
     # ------------------------------------------------------------------
     def record_run(
@@ -67,20 +54,9 @@ class KernelProfile:
             return 0.0
         return self.requests_served / self.wall_seconds
 
-    def component_table(self) -> list[tuple[str, int, float]]:
-        """(label, calls, seconds) rows, heaviest bucket first."""
-        return sorted(
-            (
-                (label, bucket[0], bucket[1])
-                for label, bucket in self.component_buckets.items()
-            ),
-            key=lambda row: row[2],
-            reverse=True,
-        )
-
     def to_dict(self) -> dict:
         """JSON-compatible summary (feeds ``BENCH_kernel.json``)."""
-        payload = {
+        return {
             "events_processed": self.events_processed,
             "requests_served": self.requests_served,
             "cycles_simulated": self.cycles_simulated,
@@ -89,12 +65,6 @@ class KernelProfile:
             "events_per_sec": self.events_per_sec,
             "requests_per_sec": self.requests_per_sec,
         }
-        if self.component_buckets:
-            payload["components"] = {
-                label: {"calls": calls, "seconds": seconds}
-                for label, calls, seconds in self.component_table()
-            }
-        return payload
 
     def __repr__(self) -> str:
         return (

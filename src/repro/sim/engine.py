@@ -213,17 +213,9 @@ class SimulationDriver:
             )
         profile = self._profile
         started = time.perf_counter() if profile is not None else 0.0
-        if profile is not None and profile.component_timing:
-            processed = self.events.run_profiled(
-                profile.component_buckets,
-                max_events=MAX_EVENTS,
-                stop_after_cycle=self._max_cycles,
-            )
-        else:
-            processed = self.events.run(
-                max_events=MAX_EVENTS,
-                stop_after_cycle=self._max_cycles,
-            )
+        processed = self.events.run(
+            max_events=MAX_EVENTS, stop_after_cycle=self._max_cycles
+        )
         if self._max_cycles is not None and self.events.now > self._max_cycles:
             self._force_end()
         if self._end_cycle is None:

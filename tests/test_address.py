@@ -1,12 +1,21 @@
 """Address-map arithmetic tests (Section 2.3 / Figure 3)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.common.config import paper_quad_core, paper_single_core
+from repro.common.config import (
+    HybridMemoryConfig,
+    paper_quad_core,
+    paper_single_core,
+)
+from repro.common.events import EventQueue
 from repro.hybrid.address import AddressMap
+from repro.hybrid.memory import HybridMemoryController
 from repro.mem.request import Module
+from repro.policies.base import MigrationPolicy
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +147,113 @@ class TestDeviceAddresses:
             for location in range(amap.group_size):
                 address = amap.data_location(group, location).address
                 assert 0 <= address.bank < amap.banks
+
+
+class _PromoteAndRecord(MigrationPolicy):
+    """Promotes every M2 access; records what the controller served.
+
+    ``served`` holds the (group, location) of every data request in
+    serve order (the controller enqueues each one right after this
+    hook), and ``swapped`` the group, the demoted block's new M2
+    location and the channel's open rows just after each swap.
+    """
+
+    name = "promote-and-record"
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.served = []
+        self.swapped = []
+
+    def on_access(self, ctx):
+        self.served.append((ctx.group, ctx.location))
+        return None if ctx.location == 0 else ctx.slot
+
+    def on_swap(self, group, promoted_slot, demoted_slot):
+        controller = self._controller
+        m2_location = controller.st.entry(group).location_of(demoted_slot)
+        channel = controller.channels[controller.address_map.channel_of_group(group)]
+        self.swapped.append((group, m2_location, list(channel._open_row)))
+
+
+def _odd_geometry():
+    """Three channels, 7-location groups, 24-line blocks, 12 banks."""
+    hybrid = HybridMemoryConfig(
+        m1_capacity_per_channel=96 * 1536,
+        m2_to_m1_ratio=6,
+        block_size=1536,
+        page_size=3072,
+        num_regions=4,
+        banks_per_rank=12,
+        row_buffer_size=6144,
+    )
+    return replace(
+        paper_quad_core(scale=128), num_cores=3, num_channels=3, hybrid=hybrid
+    )
+
+
+MEMO_CONFIGS = {
+    "single128": paper_single_core(scale=128),
+    "quad128": paper_quad_core(scale=128),
+    "odd": _odd_geometry(),
+}
+
+
+def _flat(location):
+    return (location.channel, location.bank_key, location.row)
+
+
+class TestLocationMemos:
+    """The controller's lazily filled location tuples equal the reference
+    ``data_location``/``st_location`` mapping, and so does every device
+    location it serves, fetches or swaps through them."""
+
+    @pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(st.integers(0, 1 << 40), st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_memoized_tuples_equal_the_reference(self, name, requests):
+        config = MEMO_CONFIGS[name]
+        events = EventQueue()
+        policy = _PromoteAndRecord(config)
+        controller = HybridMemoryController(config, events, policy)
+        amap = controller.address_map
+        enqueued = []
+        for index, enqueue in enumerate(controller._enqueue_soa):
+            def record(bank_key, row, is_write, arrival, kind, done=None,
+                       channel=index, enqueue=enqueue):
+                enqueued.append((kind, (channel, bank_key, row)))
+                enqueue(bank_key, row, is_write, arrival, kind, done)
+
+            controller._enqueue_soa[index] = record
+        total_lines = amap.total_blocks * amap.lines_per_block
+        for line, is_write in requests:
+            controller.access(0, line % total_lines, is_write)
+        events.run()
+        controller.finalize()
+
+        assert amap.data_locs and amap.st_locs
+        for key, location in amap.data_locs.items():
+            reference = amap.data_location(*divmod(key, amap.group_size))
+            assert location == _flat(reference)
+            address = reference.address
+            assert reference.bank_key == address.module * amap.banks + address.bank
+        for group, location in amap.st_locs.items():
+            assert location == _flat(amap.st_location(group))
+
+        data = [where for kind, where in enqueued if kind == 0]
+        assert data == [
+            _flat(amap.data_location(group, location))
+            for group, location in policy.served
+        ]
+        st_homes = {_flat(amap.st_location(group)) for group, _ in policy.served}
+        assert {where for kind, where in enqueued if kind != 0} <= st_homes
+        for group, m2_location, open_row in policy.swapped:
+            for location in (0, m2_location):
+                _channel, bank_key, row = _flat(amap.data_location(group, location))
+                assert open_row[bank_key] == row

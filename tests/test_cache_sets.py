@@ -29,7 +29,7 @@ class TestBasics:
         cache.insert(4, 4)  # LRU order: 0, 4
         cache.peek(0)
         victim = cache.insert(8, 8)
-        assert victim.key == 0  # peek did not refresh 0
+        assert victim[0] == 0  # peek did not refresh 0
 
     def test_lookup_refreshes_lru(self):
         cache = SetAssociativeCache[int](1, 2)
@@ -37,14 +37,14 @@ class TestBasics:
         cache.insert(4, 4)
         cache.lookup(0)
         victim = cache.insert(8, 8)
-        assert victim.key == 4
+        assert victim[0] == 4
 
     def test_eviction_is_lru(self):
         cache = SetAssociativeCache[int](1, 2)
         cache.insert(1, 1)
         cache.insert(2, 2)
         victim = cache.insert(3, 3)
-        assert victim.key == 1
+        assert victim[0] == 1
 
     def test_set_isolation(self):
         cache = SetAssociativeCache[int](2, 1)
@@ -63,13 +63,12 @@ class TestBasics:
         cache = SetAssociativeCache[int](1, 1)
         cache.insert(1, 1)
         cache.mark_dirty(1)
-        victim = cache.insert(2, 2)
-        assert victim.dirty
+        assert cache.insert(2, 2) == (1, 1, True)  # (key, value, dirty)
 
     def test_insert_dirty(self):
         cache = SetAssociativeCache[int](1, 1)
         cache.insert(1, 1, dirty=True)
-        assert cache.insert(2, 2).dirty
+        assert cache.insert(2, 2) == (1, 1, True)
 
     def test_invalidate(self):
         cache = SetAssociativeCache[int](1, 2)
@@ -146,7 +145,7 @@ class TestReplacementPolicies:
         cache.insert(4, 4)
         cache.lookup(0)  # would refresh under LRU
         victim = cache.insert(8, 8)
-        assert victim.key == 0  # FIFO: insertion order rules
+        assert victim[0] == 0  # FIFO: insertion order rules
 
     def test_lru_respects_hits(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lru")
@@ -154,7 +153,7 @@ class TestReplacementPolicies:
         cache.insert(4, 4)
         cache.lookup(0)
         victim = cache.insert(8, 8)
-        assert victim.key == 4
+        assert victim[0] == 4
 
     def test_random_is_deterministic_in_seed(self):
         def victims(seed):
@@ -163,7 +162,7 @@ class TestReplacementPolicies:
             for key in range(0, 40, 4):
                 victim = cache.insert(key, key)
                 if victim:
-                    out.append(victim.key)
+                    out.append(victim[0])
             return out
 
         assert victims(1) == victims(1)
@@ -175,7 +174,7 @@ class TestReplacementPolicies:
             for key in range(0, 200, 4):
                 victim = cache.insert(key, key)
                 if victim:
-                    out.append(victim.key)
+                    out.append(victim[0])
             return out
 
         assert any(victims(1)[i] != victims(2)[i] for i in range(10))
@@ -187,8 +186,8 @@ class TestReplacementPolicies:
             victim = cache.insert(key, key)
             resident.add(key)
             if victim:
-                assert victim.key in resident
-                resident.discard(victim.key)
+                assert victim[0] in resident
+                resident.discard(victim[0])
 
     def test_lfu_evicts_least_frequent(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lfu")
@@ -196,14 +195,14 @@ class TestReplacementPolicies:
         cache.insert(4, 4)
         cache.lookup(0)  # freq(0)=2, freq(4)=1
         victim = cache.insert(8, 8)
-        assert victim.key == 4
+        assert victim[0] == 4
 
     def test_lfu_tie_breaks_by_insertion_order(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lfu")
         cache.insert(0, 0)
         cache.insert(4, 4)  # both freq 1
         victim = cache.insert(8, 8)
-        assert victim.key == 0  # oldest of the minimum-frequency entries
+        assert victim[0] == 0  # oldest of the minimum-frequency entries
 
     def test_lfu_reinsert_bumps_frequency(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lfu")
@@ -211,14 +210,14 @@ class TestReplacementPolicies:
         cache.insert(0, 10)  # freq(0)=2
         cache.insert(4, 4)
         victim = cache.insert(8, 8)
-        assert victim.key == 4
+        assert victim[0] == 4
 
     def test_lru_lip_inserts_at_lru_position(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lru-lip")
         cache.insert(0, 0)
         cache.insert(4, 4)  # LIP: 4 lands at the LRU end
         victim = cache.insert(8, 8)
-        assert victim.key == 4
+        assert victim[0] == 4
 
     def test_lru_lip_hit_promotes(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lru-lip")
@@ -226,7 +225,7 @@ class TestReplacementPolicies:
         cache.insert(4, 4)
         cache.lookup(4)  # promote the LIP-inserted entry
         victim = cache.insert(8, 8)
-        assert victim.key == 0
+        assert victim[0] == 0
 
     def test_unknown_policy_rejected(self):
         import pytest as _pytest

@@ -6,15 +6,17 @@ from repro.common.config import MemTimings
 from repro.common.events import EventQueue
 from repro.mem.channel import NO_ROW, Channel
 from repro.mem.power import EnergyMeter
-from repro.common.config import EnergyConfig
+from repro.common.config import EnergyConfig, paper_quad_core
+from repro.hybrid.memory import HybridMemoryController
 from repro.mem.request import Module, RequestKind
+from repro.policies.registry import build_policy
 
 M1 = MemTimings.dram()
 M2 = MemTimings.nvm_from_dram()
 BANKS = 16
 
 
-def make_channel(idle_close=0, swap_latency=2548, energy=None):
+def make_channel(idle_close=0, swap_latency=2548):
     events = EventQueue()
     channel = Channel(
         events=events,
@@ -22,7 +24,6 @@ def make_channel(idle_close=0, swap_latency=2548, energy=None):
         m2_timings=M2,
         banks_per_rank=BANKS,
         frfcfs_cap=4,
-        energy=energy,
         swap_latency=swap_latency,
         row_idle_close=idle_close,
     )
@@ -242,18 +243,106 @@ class TestStats:
         assert channel.stats.row_hits == 1
 
     def test_energy_recording(self):
-        meter = EnergyMeter(EnergyConfig(), num_channels=1)
-        events, channel = make_channel(energy=meter)
+        events, channel = make_channel()
+        meter = EnergyMeter(EnergyConfig(), [channel.stats])
         run_one(events, channel, Module.M2, 0, 0)
-        assert meter.activates[Module.M2] == 1
-        assert meter.line_reads[Module.M2] == 1
+        assert meter.activates == [0, 1]
+        assert meter.line_reads == [0, 1]
+        assert meter.line_writes == [0, 0]
+        run_one(events, channel, Module.M2, 0, 0)  # row hit: no activate
+        assert meter.activates == [0, 1]
+        assert meter.line_reads == [0, 2]
 
     def test_swap_energy(self):
-        meter = EnergyMeter(EnergyConfig(), num_channels=1)
-        events, channel = make_channel(energy=meter)
+        events, channel = make_channel()
+        meter = EnergyMeter(EnergyConfig(), [channel.stats])
         channel.schedule_swap(0, 0, 0, 0)
-        assert meter.line_reads[Module.M1] == 32
-        assert meter.line_writes[Module.M2] == 32
+        assert meter.activates == [1, 1]
+        assert meter.line_reads == [32, 32]
+        assert meter.line_writes == [32, 32]
+
+    def test_counts_match_a_hand_tally_mid_run_and_after_finalize(self):
+        # Scripted traffic on channel 0 of a real controller: demand and
+        # ST reads and writes, row hits, a swap and two refreshes.  The
+        # channel statistics and the controller's energy meter must
+        # equal a hand tally at every step, and after ``finalize()``.
+        config = paper_quad_core(scale=128)
+        events = EventQueue()
+        controller = HybridMemoryController(
+            config, events, build_policy("static", config)
+        )
+        channel = controller.channels[0]
+        meter = controller.energy
+        tally = dict.fromkeys(
+            ("reads", "writes", "row_hits", "swaps", "read_latency_sum",
+             "read_count", "st_reads", "st_writes", "refreshes"),
+            0,
+        )
+        activates, line_reads, line_writes = [0, 0], [0, 0], [0, 0]
+
+        def check():
+            stats = channel.stats
+            assert {field: getattr(stats, field) for field in tally} == tally
+            if tally["read_count"]:
+                assert stats.average_read_latency == (
+                    tally["read_latency_sum"] / tally["read_count"]
+                )
+            assert meter.activates == activates
+            assert meter.line_reads == line_reads
+            assert meter.line_writes == line_writes
+            assert meter.refreshes == tally["refreshes"]
+
+        def serve(module, bank, row, is_write, kind, hit, refreshes=0):
+            done = []
+            arrival = events.now
+            channel.enqueue_soa(
+                module * BANKS + bank, row, is_write, arrival, kind, done.append
+            )
+            check()  # queued, not yet served: nothing counted
+            events.run()
+            tally["refreshes"] += refreshes
+            tally["writes" if is_write else "reads"] += 1
+            tally["row_hits"] += hit
+            activates[module] += not hit
+            (line_writes if is_write else line_reads)[module] += 1
+            if kind == RequestKind.ST_READ:
+                tally["st_reads"] += 1
+            elif kind == RequestKind.ST_WRITE:
+                tally["st_writes"] += 1
+            elif not is_write:
+                tally["read_count"] += 1
+                tally["read_latency_sum"] += done[0] - arrival
+            check()
+
+        data, st_read, st_write = (
+            RequestKind.DATA, RequestKind.ST_READ, RequestKind.ST_WRITE
+        )
+        serve(Module.M1, 0, 5, False, data, hit=False)
+        serve(Module.M1, 0, 5, False, data, hit=True)
+        serve(Module.M1, 1, -1, False, st_read, hit=False)
+        serve(Module.M2, 2, 7, True, data, hit=False)
+        serve(Module.M2, 2, 7, True, data, hit=True)
+        serve(Module.M1, 1, -2, True, st_write, hit=False)
+        channel.schedule_swap(3, 9, 4, 11)
+        tally["swaps"] += 1
+        for module in (Module.M1, Module.M2):
+            activates[module] += 1
+            line_reads[module] += 32
+            line_writes[module] += 32
+        check()
+        # Past two M1 refresh intervals: the next M1 request catches up
+        # on both refreshes, which closed the swap's open row.
+        events.schedule(2 * config.m1_timings.t_refi + 100, lambda c: None)
+        events.run()
+        serve(Module.M1, 3, 9, False, data, hit=False, refreshes=2)
+
+        # finalize() flushes the STC; the write-back it queues for a
+        # touched entry never issues, so it counts nowhere.
+        controller.stc.insert(0, (0,) * 9, controller.st.entry(0))
+        controller.stc.peek(0).counters[0] = 3
+        controller.finalize()
+        assert channel.queue_depth() == 1
+        check()
 
 
 class TestRefresh:

@@ -104,6 +104,79 @@ class TestRun:
         q.schedule(1, lambda c: None)
         assert len(q) == 1
 
+    @staticmethod
+    def _mixed(q, fired):
+        """Heap events at cycles 1..4, each spawning two same-cycle
+        (FIFO-lane) children: 12 events in all."""
+
+        def child(cycle):
+            fired.append(cycle)
+
+        def parent(cycle):
+            fired.append(cycle)
+            q.schedule_now(child)
+            q.schedule(cycle, child)
+
+        for cycle in range(1, 5):
+            q.schedule(cycle, parent)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 11])
+    def test_budget_processes_exactly_n_then_raises(self, budget):
+        q, fired = EventQueue(), []
+        self._mixed(q, fired)
+        with pytest.raises(SimulationError, match=f"budget of {budget} "):
+            q.run(max_events=budget)
+        # Exactly ``budget`` callbacks ran, from either lane, and the
+        # rest of the work stayed queued.
+        assert len(fired) == budget
+        assert q.run() == 12 - budget
+        assert len(fired) == 12
+
+    @pytest.mark.parametrize("budget", [None, 12, 13, 10**9])
+    def test_returns_processed_count_when_the_queue_drains(self, budget):
+        q, fired = EventQueue(), []
+        self._mixed(q, fired)
+        assert q.run(max_events=budget) == len(fired) == 12
+        assert len(q) == 0
+        assert q.run(max_events=budget) == 0
+
+    def test_zero_budget(self):
+        assert EventQueue().run(max_events=0) == 0
+        q = EventQueue()
+        q.schedule(1, lambda c: None)
+        with pytest.raises(SimulationError, match="event budget"):
+            q.run(max_events=0)
+
+    def test_stop_after_cycle_leaves_later_work_queued(self):
+        q, fired = EventQueue(), []
+        self._mixed(q, fired)
+        # Cycle 3's heap event is the first past the cutoff: it runs,
+        # and its same-cycle children stay queued with cycle 4.
+        assert q.run(stop_after_cycle=2) == 7
+        assert fired == [1, 1, 1, 2, 2, 2, 3]
+        assert q.now == 3
+        assert len(q) == 3
+        # Resuming with a cutoff already behind ``now`` stops after one
+        # event, as before.
+        assert q.run(stop_after_cycle=2) == 1
+        assert len(q) == 2
+        assert q.run() == 4
+        assert fired == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+
+    def test_stop_after_cycle_takes_precedence_over_an_exact_budget(self):
+        # The budget's last event is the one that crosses the cutoff:
+        # control returns normally, with work still queued.
+        q, fired = EventQueue(), []
+        self._mixed(q, fired)
+        assert q.run(max_events=7, stop_after_cycle=2) == 7
+        assert len(q) == 3
+        assert q.run(max_events=3, stop_after_cycle=3) == 3
+        assert fired[-3:] == [3, 3, 4]
+        # A budget that runs out before the cutoff still raises.
+        with pytest.raises(SimulationError, match="event budget"):
+            q.run(max_events=1, stop_after_cycle=10)
+        assert len(fired) == 11
+
 
 class _ReferenceHeapQueue:
     """Textbook (cycle, seq) min-heap scheduler with no fast lane.

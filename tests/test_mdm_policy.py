@@ -4,7 +4,9 @@ import pytest
 
 from repro.cache.stc import STCEntry
 from repro.common.config import paper_quad_core
+from repro.common.errors import InvalidValueError
 from repro.core.mdm import MDMPolicy
+from repro.core.qac import quantize_access_count
 from repro.hybrid.st_entry import STEntry
 from repro.policies.base import AccessContext
 
@@ -163,6 +165,33 @@ class TestStatistics:
         policy.on_st_eviction(stc_entry, st_entry)
         assert st_entry.qac[5] == 3
         assert policy.stats_for(0).total_updates == 0
+
+    def test_negative_counter_raises(self):
+        policy = make_policy()
+        st_entry = STEntry(9)
+        stc_entry = STCEntry(group=7, qac_at_insert=(0,) * 9)
+        stc_entry.counters[4] = -1
+        with pytest.raises(InvalidValueError, match="negative access count"):
+            policy.on_st_eviction(stc_entry, st_entry)
+        assert st_entry.qac == [0] * 9
+
+    @pytest.mark.parametrize("boundaries", [(1, 8, 32), (2, 16, 48), (3, 5, 90)])
+    def test_written_back_qac_matches_the_reference(self, boundaries):
+        from dataclasses import replace as _replace
+
+        config = _replace(
+            CONFIG, mdm=_replace(CONFIG.mdm, qac_boundaries=boundaries)
+        )
+        policy = MDMPolicy(config)
+        policy.bind(FakeController())
+        for count in range(1, 130):
+            st_entry = STEntry(9)
+            st_entry.qac[2] = 1
+            stc_entry = STCEntry(group=7, qac_at_insert=tuple(st_entry.qac))
+            stc_entry.counters[2] = count
+            policy.on_st_eviction(stc_entry, st_entry)
+            expected = quantize_access_count(count, boundaries) or 1
+            assert st_entry.qac[2] == expected, count
 
     def test_per_program_stats_separate(self):
         owners = {(7, 1): 0, (7, 2): 1}
