@@ -25,9 +25,13 @@ class STCEntry:
     ``st_entry`` is an opaque back-reference the memory controller
     attaches at insertion (the group's resident ST entry), so the
     per-request path resolves both structures with one cache probe.
+    ``resident`` is True from insertion until the entry leaves the STC
+    (eviction, flush, or an insert over its group); a group has at most
+    one resident entry, so an entry found by a probe and still resident
+    later is exactly what a fresh probe would return.
     """
 
-    __slots__ = ("group", "qac_at_insert", "counters", "st_entry")
+    __slots__ = ("group", "qac_at_insert", "counters", "st_entry", "resident")
 
     def __init__(
         self,
@@ -39,6 +43,7 @@ class STCEntry:
         self.qac_at_insert = qac_at_insert
         self.counters = [0] * len(qac_at_insert)
         self.st_entry = st_entry
+        self.resident = True
 
     def count(self, location: int) -> int:
         """Access count of ``location`` since insertion."""
@@ -139,12 +144,18 @@ class STC:
         access counters start at zero (Section 3.2.1).  ``st_entry`` is
         stored as the new entry's back-reference.  Eviction callbacks run
         before this method returns, so MDM statistics and ST write-back
-        happen at the architecturally correct instant.
+        happen at the architecturally correct instant.  The entry this
+        one displaces (the evicted entry, or the group's own entry when
+        it is still resident) stops being ``resident``.
         """
+        replaced = self.peek(group)
+        if replaced is not None:
+            replaced.resident = False
         victim = self._array.insert(group, STCEntry(group, qac_values, st_entry))
         if victim is None:
             return None
         evicted = victim[1]
+        evicted.resident = False
         for callback in self._eviction_callbacks:
             callback(evicted)
         return evicted
@@ -154,6 +165,7 @@ class STC:
         evicted = [entry for _, entry in self._array.items()]
         for entry in evicted:
             self._array.invalidate(entry.group)
+            entry.resident = False
             for callback in self._eviction_callbacks:
                 callback(entry)
         return evicted

@@ -338,13 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_transport_flag(perf_parser)
     perf_parser.add_argument(
-        "--decode",
-        action="store_true",
-        help="also benchmark trace decoding itself: the legacy "
-        "per-element front end vs the batched numpy decoder "
-        "(before/after evidence for DESIGN.md Sec. 12)",
-    )
-    perf_parser.add_argument(
         "--summary",
         type=Path,
         default=None,
@@ -685,20 +678,6 @@ def _perf(args: argparse.Namespace) -> int:
             f"{scenario['events']:>10,} events  "
             f"{scenario['events_per_sec']:>11,.0f} events/sec  "
             f"{scenario['requests_per_sec']:>10,.0f} requests/sec"
-        )
-
-    if args.decode:
-        from repro.perf.decode_bench import run_decode_benchmark
-
-        decode = run_decode_benchmark(
-            quick=args.quick, repeats=args.repeats, progress=progress
-        )
-        payload["decode"] = decode
-        print(
-            f"decode  {decode['requests']:>10,} requests  "
-            f"legacy {decode['legacy_seconds']:.4f}s  "
-            f"batched {decode['batched_seconds']:.4f}s  "
-            f"{decode['speedup']:.1f}x (identical={decode['identical']})"
         )
 
     out = args.out if args.out is not None else Path("BENCH_kernel.json")

@@ -147,9 +147,9 @@ class EventQueue:
             if fifo and (not heap or heap[0][0] > now):
                 popleft()(now)
             elif heap:
-                entry = heappop(heap)
-                self._now = now = entry[0]
-                entry[2](now)
+                now, _, callback = heappop(heap)
+                self._now = now
+                callback(now)
             else:
                 return processed
             if now > stop:

@@ -220,23 +220,26 @@ class TraceCore:
             self._finish(now)
             return
         cursor = self._cursor
+        writes = self._writes
+        is_write = writes[cursor]
+        # About a third of calls block at once: test the MLP/write-buffer
+        # limit before loading the loop state.
+        if is_write:
+            if self.writes_in_flight >= self._write_buffer:
+                self._waiting_for_write = True
+                return  # resumed by _on_write_complete
+        elif self.outstanding_reads >= self._mlp:
+            self._waiting_for_read = True
+            return  # resumed by _on_read_complete
         cycles = self._cycles
         lines = self._lines
-        writes = self._writes
         access = self.access
         core_id = self.core_id
         while True:
-            is_write = writes[cursor]
             if is_write:
-                if self.writes_in_flight >= self._write_buffer:
-                    self._waiting_for_write = True
-                    return  # resumed by _on_write_complete
                 self.writes_in_flight += 1
                 callback = self._on_write_complete_cb
             else:
-                if self.outstanding_reads >= self._mlp:
-                    self._waiting_for_read = True
-                    return  # resumed by _on_read_complete
                 self.outstanding_reads += 1
                 callback = self._on_read_complete_cb
             self._cursor = cursor + 1
@@ -264,6 +267,14 @@ class TraceCore:
                     (now + compute_cycles, seq, self._dispatch_cb),
                 )
                 events._seq = seq + 1
+                return
+            is_write = writes[cursor]
+            if is_write:
+                if self.writes_in_flight >= self._write_buffer:
+                    self._waiting_for_write = True
+                    return
+            elif self.outstanding_reads >= self._mlp:
+                self._waiting_for_read = True
                 return
 
     def _on_read_complete(self, now: int) -> None:

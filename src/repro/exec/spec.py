@@ -80,8 +80,16 @@ class RunSpec:
         Any field change — a program, the policy, one config value, the
         trace length, a seed, the diagnostics flag — yields a new key;
         re-creating an identical spec always yields the same key.
+
+        The digest is computed once per instance and memoized on it (the
+        spec and its nested config are frozen, so it cannot go stale).
+        The memo is not a field: equality, hashing and ``replace()`` never
+        see it, and it travels with the pickled spec to a worker.
         """
-        return canonical_digest(
+        memo = self.__dict__.get("_cache_key")
+        if memo is not None:
+            return memo
+        key = canonical_digest(
             {
                 "kind": self.kind,
                 "programs": list(self.programs),
@@ -93,6 +101,8 @@ class RunSpec:
                 "track_rsm_regions": self.track_rsm_regions,
             }
         )
+        object.__setattr__(self, "_cache_key", key)
+        return key
 
     def describe(self) -> str:
         """Short human-readable label (progress lines, cache metadata)."""

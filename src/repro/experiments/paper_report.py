@@ -192,14 +192,13 @@ def _header(description: str) -> list[str]:
         "Reading the CI perf trend: every CI run's *Summary* page carries",
         "a kernel-benchmark table (one row per scenario: events/sec,",
         "requests/sec, and the delta against the checked-in",
-        "`benchmarks/baselines/kernel_baseline.json`), plus the trace-",
-        "decode before/after line (DESIGN.md §12).  Deltas are best-of-3",
-        "on shared runners, so read the *trend across commits*, not one",
-        "run; the hard gate only fails below 0.7× baseline.  A `:warning:`",
-        "line flags a baseline recorded under a different Python minor",
-        "version or machine — deltas there may reflect the interpreter,",
-        "not the kernel.  The raw payload is the `BENCH_kernel-<sha>`",
-        "artifact on each run.",
+        "`benchmarks/baselines/kernel_baseline.json`).  Deltas are",
+        "best-of-3 on shared runners, so read the *trend across commits*,",
+        "not one run; the hard gate only fails below 0.7× baseline.  A",
+        "`:warning:` line flags a baseline recorded under a different",
+        "Python minor version or machine — deltas there may reflect the",
+        "interpreter, not the kernel.  The raw payload is the",
+        "`BENCH_kernel-<sha>` artifact on each run.",
         "",
         "Resuming an interrupted sweep: run the long figure sweeps with a",
         "disk cache and a journal, e.g. `profess run fig10 fig11 fig12",

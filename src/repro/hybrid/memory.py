@@ -50,11 +50,15 @@ _KIND_ST_WRITE = 2
 class CoreMemStats:
     """Per-core demand-traffic statistics (Figures 6, 16)."""
 
-    requests: int = 0
     served_from_m1: int = 0
     reads: int = 0
     writes: int = 0
     swaps_involving: int = 0
+
+    @property
+    def requests(self) -> int:
+        """Demand requests served for this core."""
+        return self.reads + self.writes
 
     @property
     def m1_fraction(self) -> float:
@@ -305,10 +309,15 @@ class HybridMemoryController:
         else:
             _block, group, slot = self._group_and_slot_of_line(line)
         events = self.events
+        stc_entry = self._stc_lookup(group)
         # One reusable bound method under a partial instead of a fresh
         # closure per request: same callback shape, far less allocation.
-        proceed = partial(self._serve, core_id, group, slot, is_write, on_complete)
-        if self._stc_lookup(group) is not None:
+        # The serve hop carries the probed entry (None on a miss), so it
+        # need not probe again.
+        proceed = partial(
+            self._serve, core_id, group, slot, is_write, on_complete, stc_entry
+        )
+        if stc_entry is not None:
             # Inline-push contract (events.py): the STC hit lands a
             # strictly-future cycle (latency_cycles > 0), so it goes
             # straight onto the heap.  ``events._now`` directly: the
@@ -358,18 +367,25 @@ class HybridMemoryController:
         slot: int,
         is_write: bool,
         on_complete: Optional[CompletionCallback],
+        stc_entry: Optional[STCEntry],
         now: int,
     ) -> None:
-        stc_entry = self._stc_peek(group)
-        if stc_entry is None:
-            # Evicted between fill and serve by a competing access burst;
-            # re-fetch (rare, only under extreme STC pressure).
-            self._fetch_st_entry(
-                core_id,
-                group,
-                partial(self._serve, core_id, group, slot, is_write, on_complete),
-            )
-            return
+        if stc_entry is None or not stc_entry.resident:
+            # After an ST fetch (nothing carried), or the carried hit was
+            # evicted since: probe again.  A resident carried entry is the
+            # group's only resident one, i.e. what this probe returns.
+            stc_entry = self._stc_peek(group)
+            if stc_entry is None:
+                # Evicted between fill and serve by a competing access
+                # burst; re-fetch (rare, only under extreme STC pressure).
+                self._fetch_st_entry(
+                    core_id,
+                    group,
+                    partial(
+                        self._serve, core_id, group, slot, is_write, on_complete, None
+                    ),
+                )
+                return
         # The resident entry's back-reference is the group's (unique,
         # lazily created once) ST entry: one probe resolves both.
         st_entry = stc_entry.st_entry
@@ -395,7 +411,6 @@ class HybridMemoryController:
         )
 
         stats = self.core_stats[core_id]
-        stats.requests += 1
         if served_from_m1:
             stats.served_from_m1 += 1
         if is_write:

@@ -49,9 +49,13 @@ HOT_CLASSES: frozenset[str] = frozenset(
 
 #: Functions on the per-event critical path (the inlined ``run()`` loops
 #: and the per-request serve/issue chain).  H203 keeps them free of
-#: formatting, logging, and exception-handling overhead.
+#: formatting, logging, and exception-handling overhead.  ``access``
+#: hands the ``STCEntry`` its probe found to ``_serve``, which trusts it
+#: while it is ``resident``; ``STC.insert`` clears that flag on every
+#: fill, so it is on the chain too.
 HOT_FUNCTIONS: frozenset[str] = frozenset(
     {
+        "repro.cache.stc.STC.insert",
         "repro.common.events.EventQueue.run",
         "repro.common.events.EventQueue.step",
         "repro.cpu.core_model.TraceCore._dispatch",

@@ -13,7 +13,8 @@ row-buffer hits do not bypass the FR-FCFS-Cap ordering across a swap (the
 paper modifies the scheduler to ignore row hits during swaps).
 
 The channel holds each queue as a plain list of ``(bank_key, row,
-arrival, kind, on_complete)`` tuples in arrival order, and its bank
+arrival, tag, on_complete)`` tuples in arrival order (``tag``: the
+request's bits of its counter slot, see ``_SERVED_SLOTS``), and its bank
 state as four plain lists indexed by the global bank key ``module *
 banks_per_rank + bank``.  Each scheduling decision is one *fused tick*
 (``_tick_python``, DESIGN.md §14): queue choice, FR-FCFS-Cap selection,
@@ -48,7 +49,9 @@ NO_ROW = -(1 << 60)
 # Served-traffic counter layout.  Slot ``kind << 3 | module << 2 |
 # is_write << 1 | row_hit`` counts the requests served with that key
 # (kinds are the RequestKind values 0-2); three more slots hold the
-# demand-read latency sum, the swaps and the refreshes.
+# demand-read latency sum, the swaps and the refreshes.  A queued
+# request carries its kind and direction bits as its tag; the tick ORs
+# in the module and row-hit bits.
 _SERVED_SLOTS = 24
 _LATENCY_SUM = 24
 _SWAPS = 25
@@ -200,13 +203,16 @@ class ModuleState:
     ``MemTimings`` stores nanoseconds and converts per property access;
     the channel issues commands tens of thousands of times per simulated
     millisecond, so the conversions are done once here and the hot path
-    reads plain ints.  Bank state itself lives in the channel's bank
-    lists; ``lo:hi`` is this module's bank-key slice of them.
+    reads plain ints (``rcd_cl`` is a row miss's activate-to-data time,
+    ``t_rcd + cl``).  ``miss_slot``/``hit_slot`` are the module and
+    row-hit bits of the channel's counter slot for a row miss/hit.
+    Bank state itself lives in the channel's bank lists; ``lo:hi`` is
+    this module's bank-key slice of them.
     """
 
     __slots__ = (
         "cl",
-        "t_rcd",
+        "rcd_cl",
         "t_rp",
         "t_wr",
         "t_refi",
@@ -215,21 +221,25 @@ class ModuleState:
         "next_refresh",
         "lo",
         "hi",
+        "miss_slot",
+        "hit_slot",
     )
 
     def __init__(
-        self, timings: MemTimings, banks_per_rank: int, base: int
+        self, timings: MemTimings, banks_per_rank: int, module: int
     ) -> None:
         self.cl = timings.cl
-        self.t_rcd = timings.t_rcd
+        self.rcd_cl = timings.t_rcd + timings.cl
         self.t_rp = timings.t_rp
         self.t_wr = timings.t_wr
         self.t_refi = timings.t_refi
         self.t_rfc = timings.t_rfc
         self.line_burst = timings.line_burst
         self.next_refresh = self.t_refi or (1 << 62)
-        self.lo = base
-        self.hi = base + banks_per_rank
+        self.lo = module * banks_per_rank
+        self.hi = self.lo + banks_per_rank
+        self.miss_slot = module << 2
+        self.hit_slot = module << 2 | 1
 
 
 class Channel:
@@ -277,10 +287,11 @@ class Channel:
         # acceptance below always fire at the current cycle), bound once
         # for the enqueue and tick paths.
         self._schedule_now = events.schedule_now
-        # Indexed by Module (IntEnum): _modules[Module.M1] is the M1 state.
+        # Indexed by Module (IntEnum): _modules[Module.M1] is the M1 state
+        # (the tick indexes it by ``bank_key >= banks_per_rank``).
         self._modules = (
-            ModuleState(m1_timings, banks_per_rank, 0),
-            ModuleState(m2_timings, banks_per_rank, banks_per_rank),
+            ModuleState(m1_timings, banks_per_rank, Module.M1),
+            ModuleState(m2_timings, banks_per_rank, Module.M2),
         )
         # FR-FCFS-Cap state (Section 4.1): consecutive row hits served,
         # and the cap after which the oldest request issues regardless.
@@ -296,7 +307,7 @@ class Channel:
         self._ready_at = [0] * total_banks
         self._dirty = [0] * total_banks
         self._closed_until = [0] * total_banks
-        # Pending requests, oldest first: (bank_key, row, arrival, kind,
+        # Pending requests, oldest first: (bank_key, row, arrival, tag,
         # on_complete) tuples.  Posted writes carry no completion.
         self._reads: list[tuple] = []
         self._writes: list[tuple] = []
@@ -337,7 +348,8 @@ class Channel:
         """Accept one request at a global bank key and row.
 
         Callers (the hybrid controller) pass the precomputed bank key
-        ``module * banks_per_rank + bank``.  Reads complete
+        ``module * banks_per_rank + bank``.  The queued tuple carries
+        ``kind << 3 | is_write << 1`` as its tag.  Reads complete
         (``on_complete``) at the end of their data burst.  Writes are
         *posted*: they buffer in the controller's write queue, their
         ``on_complete`` fires at acceptance, and the queue drains in
@@ -347,14 +359,14 @@ class Channel:
         """
         if is_write:
             writes = self._writes
-            writes.append((bank_key, row, arrival, kind, None))
+            writes.append((bank_key, row, arrival, kind << 3 | 2, None))
             if on_complete is not None:
                 if len(writes) <= _WRITE_QUEUE_CAP:
                     self._schedule_now(on_complete)
                 else:
                     self._write_accept_waiters.append(on_complete)
         else:
-            self._reads.append((bank_key, row, arrival, kind, on_complete))
+            self._reads.append((bank_key, row, arrival, kind << 3, on_complete))
         if not self._tick_scheduled:
             self._tick_scheduled = True
             self._schedule_now(self._tick_cb)
@@ -445,9 +457,8 @@ class Channel:
         ):
             self._schedule_now(self._write_accept_waiters.popleft())
         # --- issue: refresh catch-up, bank preparation, data burst ---
-        key, row, arrival, kind, callback = entry
-        module = 1 if key >= self._banks_per_rank else 0
-        module_state = self._modules[module]
+        key, row, arrival, tag, callback = entry
+        module_state = self._modules[key >= self._banks_per_rank]
         if now >= module_state.next_refresh:
             self._refresh_if_due(module_state, now)
         ready = self._ready_at
@@ -476,11 +487,11 @@ class Channel:
         if orow == row:
             # Row-buffer hit: CAS only; writes land in the row buffer
             # and defer their cell-write cost to the eventual precharge.
-            row_hit = True
+            slot = tag | module_state.hit_slot
             data_ready = prep_start + module_state.cl
             new_dirty = 1 if is_write else dirty[key]
         else:
-            row_hit = False
+            slot = tag | module_state.miss_slot
             precharge = 0
             if orow != NO_ROW:
                 precharge = module_state.t_rp
@@ -493,9 +504,7 @@ class Channel:
                 closed_until = self._closed_until[key]
                 if closed_until > prep_start:
                     precharge = closed_until - prep_start
-            data_ready = (
-                prep_start + precharge + module_state.t_rcd + module_state.cl
-            )
+            data_ready = prep_start + precharge + module_state.rcd_cl
             new_dirty = 1 if is_write else 0
         burst_start = data_ready
         if self._bus_free_at > burst_start:
@@ -507,8 +516,8 @@ class Channel:
         dirty[key] = new_dirty
         # --- record served traffic and schedule the completion ---
         counts = self._counts
-        counts[kind << 3 | module << 2 | is_write << 1 | row_hit] += 1
-        if kind == 0 and not is_write:
+        counts[slot] += 1
+        if tag == 0:
             # Latency statistics track demand reads only (AMMAT).
             counts[_LATENCY_SUM] += burst_end - arrival
         # Inline-push contract (events.py): both targets are strictly

@@ -17,7 +17,6 @@ from repro.perf.bench import (
     run_kernel_benchmark,
     standard_scenarios,
 )
-from repro.perf.decode_bench import run_decode_benchmark
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -26,7 +25,6 @@ __all__ = [
     "compare_to_baseline",
     "compatibility_warnings",
     "markdown_summary",
-    "run_decode_benchmark",
     "run_kernel_benchmark",
     "standard_scenarios",
 ]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import platform
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -46,7 +47,7 @@ class BenchScenario:
     programs: tuple[tuple[str, int, int], ...]
     quad: bool
 
-    def build_driver(self, profile: Optional[KernelProfile] = None):
+    def build_driver(self):
         """A fresh driver for this scenario (imports deferred: CLI startup)."""
         from repro.sim.engine import SimulationDriver
         from repro.traces.generator import synthesize_trace
@@ -56,9 +57,7 @@ class BenchScenario:
             (program, synthesize_trace(program, requests, scale=128, seed=seed))
             for program, requests, seed in self.programs
         ]
-        return SimulationDriver(
-            config, self.policy, traces, seed=0, profile=profile
-        )
+        return SimulationDriver(config, self.policy, traces, seed=0)
 
 
 def standard_scenarios(quick: bool = False) -> list[BenchScenario]:
@@ -113,11 +112,24 @@ def run_scenario(
     repeats: int = 3,
     progress: Optional[Callable[[str], None]] = None,
 ) -> KernelBenchResult:
-    """Run one scenario ``repeats`` times; report the fastest repeat."""
+    """Run one scenario ``repeats`` times; report the fastest repeat.
+
+    Each repeat times ``run()`` from outside; the event count is the
+    driver's, the requests and cycles are the result's.
+    """
     best: Optional[KernelProfile] = None
     for repeat in range(repeats):
+        driver = scenario.build_driver()
+        started = time.perf_counter()
+        result = driver.run()
+        wall_seconds = time.perf_counter() - started
         profile = KernelProfile()
-        scenario.build_driver(profile).run()
+        profile.record_run(
+            events=driver.events_processed,
+            requests=result.total_requests,
+            cycles=result.cycles,
+            wall_seconds=wall_seconds,
+        )
         if best is None or profile.events_per_sec > best.events_per_sec:
             best = profile
         if progress is not None:
@@ -260,16 +272,6 @@ def markdown_summary(payload: dict, baseline: Optional[dict] = None) -> str:
             f"| {requests_cell} "
             f"| {baseline_cell} | {delta_cell} |"
         )
-    decode = payload.get("decode")
-    if decode:
-        lines += [
-            "",
-            f"Trace decode ({decode['requests']:,} requests): "
-            f"legacy {decode['legacy_seconds']:.4f}s -> batched "
-            f"{decode['batched_seconds']:.4f}s "
-            f"(**{decode['speedup']:.1f}x**, identical="
-            f"{decode['identical']})",
-        ]
     if baseline is not None:
         for warning in compatibility_warnings(payload, baseline):
             lines += ["", f"> :warning: {warning}"]

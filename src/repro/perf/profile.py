@@ -1,10 +1,10 @@
 """Throughput counters for the simulation kernel.
 
-A :class:`KernelProfile` is handed to :class:`repro.sim.engine.
-SimulationDriver` and accumulates events processed, demand requests
+A :class:`KernelProfile` accumulates events processed, demand requests
 served, simulated cycles, and wall-clock seconds across one or more
-runs.  It reads the clock at both ends of a run and costs nothing per
-event; a per-layer time split comes from ``perfbench --trace 1``.
+runs.  :func:`repro.perf.bench.run_scenario` times each run from outside
+the simulator and records it here, so the kernel carries no profiling
+hook; a per-layer time split comes from ``perfbench --trace 1``.
 """
 
 from __future__ import annotations

@@ -112,16 +112,29 @@ class PoMPolicy(MigrationPolicy):
         if counter is None:
             counter = self._counters[group] = CompetingCounter()
         decision: Optional[int] = None
+        # The group's counter moves in place: the saturating arithmetic
+        # of CompetingCounter.observe_m1/observe_m2, inlined.
         if ctx.location == 0:  # ctx.in_m1, sans the property call
-            counter.observe_m1(weight)
+            value = counter.value - weight
+            counter.value = value if value > 0 else 0
         else:
-            counter.observe_m2(ctx.slot, weight, self._pom.counter_max)
+            slot = ctx.slot
+            if counter.candidate == slot:
+                value = counter.value + weight
+            else:
+                value = counter.value - weight
+                if value <= 0:
+                    counter.candidate = slot
+                    value = weight
+            maximum = self._pom.counter_max
+            counter.value = value = value if value < maximum else maximum
+            threshold = self.threshold
             if (
-                self.threshold is not None
-                and counter.candidate == ctx.slot
-                and counter.value >= self.threshold
+                threshold is not None
+                and counter.candidate == slot
+                and value >= threshold
             ):
-                decision = ctx.slot
+                decision = slot
         if group % SAMPLE_STRIDE == 0:
             self._update_shadows(ctx, weight)
         self._requests_in_epoch += 1
@@ -139,29 +152,32 @@ class PoMPolicy(MigrationPolicy):
     def _update_shadows(self, ctx: AccessContext, weight: int) -> None:
         """Replay the access in each threshold's shadow automaton."""
         k = self._pom.k
+        slot = ctx.slot
+        in_m1 = ctx.location == 0
+        shadows = self._shadows_for(ctx.group)
         for index, threshold in enumerate(self._pom.thresholds):
-            shadow = self._shadows_for(ctx.group)[index]
-            if ctx.slot == shadow.promoted_slot:
+            shadow = shadows[index]
+            if slot == shadow.promoted_slot:
                 # Would have been an M1 hit after the shadow promotion;
                 # the real access was served from wherever it really is.
-                if not ctx.in_m1:
+                if not in_m1:
                     self._benefits[index] += weight
                 shadow.counter.observe_m1(weight)
                 continue
-            if ctx.in_m1 and shadow.promoted_slot == -1:
+            if in_m1 and shadow.promoted_slot == -1:
                 shadow.counter.observe_m1(weight)
                 continue
             # Either a real M2 access, or an access to the real M1
             # resident after a shadow promotion displaced it: both are M2
             # accesses in the shadow organization.
-            if ctx.in_m1 and shadow.promoted_slot != -1:
+            if in_m1 and shadow.promoted_slot != -1:
                 self._benefits[index] -= weight
-            shadow.counter.observe_m2(ctx.slot, weight, self._pom.counter_max)
+            shadow.counter.observe_m2(slot, weight, self._pom.counter_max)
             if (
-                shadow.counter.candidate == ctx.slot
+                shadow.counter.candidate == slot
                 and shadow.counter.value >= threshold
             ):
-                shadow.promoted_slot = ctx.slot
+                shadow.promoted_slot = slot
                 shadow.counter.reset()
                 self._benefits[index] -= k
 

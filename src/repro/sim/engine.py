@@ -10,9 +10,8 @@ retired over elapsed cycles at that instant.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
@@ -25,9 +24,6 @@ from repro.policies.base import MigrationPolicy
 from repro.policies.registry import build_policy
 from repro.sim.results import PolicyStats, ProgramResult, SimulationResult
 from repro.traces.generator import LINES_PER_PAGE
-
-if TYPE_CHECKING:
-    from repro.perf.profile import KernelProfile
 
 #: Hard ceiling on processed events, to catch runaway simulations.  The
 #: event queue raises :class:`SimulationError` when the ceiling is hit
@@ -49,7 +45,6 @@ class SimulationDriver:
         max_cycles: Optional[int] = None,
         program_of_core: Optional[Sequence[int]] = None,
         warmup_requests: int = 0,
-        profile: Optional["KernelProfile"] = None,
         validate_every: int = 0,
     ) -> None:
         if not traces:
@@ -138,9 +133,9 @@ class SimulationDriver:
         self._warmup_cycle = 0
         self._warmup_instructions = [0] * len(self.cores)
         self._warmed = warmup_requests <= 0
-        # Optional throughput instrumentation (repro.perf); None keeps
-        # the kernel on the uninstrumented fast path.
-        self._profile = profile
+        #: Events the loop processed; set by ``run()`` and kept out of
+        #: the result (``profess perf`` reads it).
+        self.events_processed = 0
         # Optional periodic invariant auditing (``--validate-every N``):
         # every N cycles a self-rescheduling event runs the full
         # :func:`repro.sim.validation.validate_controller` audit, so a
@@ -211,9 +206,7 @@ class SimulationDriver:
             self.events.schedule(
                 self.events.now + self._validate_every, self._periodic_validate
             )
-        profile = self._profile
-        started = time.perf_counter() if profile is not None else 0.0
-        processed = self.events.run(
+        self.events_processed = self.events.run(
             max_events=MAX_EVENTS, stop_after_cycle=self._max_cycles
         )
         if self._max_cycles is not None and self.events.now > self._max_cycles:
@@ -221,15 +214,7 @@ class SimulationDriver:
         if self._end_cycle is None:
             self._force_end()
         self.controller.finalize()
-        result = self._collect()
-        if profile is not None:
-            profile.record_run(
-                events=processed,
-                requests=self.controller.total_requests(),
-                cycles=result.cycles,
-                wall_seconds=time.perf_counter() - started,
-            )
-        return result
+        return self._collect()
 
     def _release(self) -> None:
         """Break every reference cycle the simulation's components form.

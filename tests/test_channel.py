@@ -51,9 +51,14 @@ class TestQueues:
         channel.enqueue_soa(3, 40, False, 100, 0, done)
         channel.enqueue_soa(7, 41, True, 101, 2)
         channel.enqueue_soa(5, 42, False, 102, 1)
-        assert channel._reads == [(3, 40, 100, 0, done), (5, 42, 102, 1, None)]
+        # Each entry is tagged with its counter-slot bits,
+        # kind << 3 | is_write << 1.
+        assert channel._reads == [
+            (3, 40, 100, 0 << 3, done),
+            (5, 42, 102, 1 << 3, None),
+        ]
         # Posted writes complete at acceptance: the queue keeps no callback.
-        assert channel._writes == [(7, 41, 101, 2, None)]
+        assert channel._writes == [(7, 41, 101, 2 << 3 | 1 << 1, None)]
         assert channel.queue_depth() == 3
 
     def test_tick_dequeues_entry_and_schedules_completion(self):

@@ -1,6 +1,7 @@
 """Hybrid memory controller integration tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import paper_quad_core, with_overrides, STCConfig
 from repro.common.events import EventQueue
@@ -25,6 +26,29 @@ class PromoteAlways(MigrationPolicy):
 
     def on_st_eviction(self, stc_entry, st_entry):
         self.evictions += 1
+
+
+class RecordingPolicy(MigrationPolicy):
+    """Test policy: never promote; record each served request's STC
+    entry beside what a fresh probe of the STC returns at that instant."""
+
+    name = "recording"
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.seen = []
+
+    def on_access(self, ctx: AccessContext):
+        self.seen.append((ctx.stc_entry, self._controller.stc.peek(ctx.group)))
+        return None
+
+
+def small_stc(ways):
+    """A config whose STC is one set of ``ways`` entries, so any other
+    group's fill can evict."""
+    return with_overrides(
+        CONFIG, stc=STCConfig(capacity=8 * ways, associativity=ways)
+    )
 
 
 def make_controller(policy=None, config=CONFIG):
@@ -113,6 +137,114 @@ class TestAccessPath:
         controller.access(0, line_of(controller, 4, 2), True)
         events.run()
         assert controller.stc.peek(4).count(2) == 1
+
+
+class TestCarriedSTCEntry:
+    """``access`` hands its STC hit to the serve hop; an entry evicted in
+    between must not be served from."""
+
+    def _hit_then_queue_serve(self, controller, events, done):
+        controller.access(0, line_of(controller, 4, 2), False)
+        events.run()
+        hit = controller.stc.peek(4)
+        # An STC hit: the serve hop is queued, latency_cycles away.
+        controller.access(0, line_of(controller, 4, 2, offset=1), False, done.append)
+        assert controller.stc.hits == 1
+        return hit
+
+    @staticmethod
+    def _st_reads(controller):
+        return sum(c.stats.st_reads for c in controller.channels)
+
+    def test_evicted_hit_is_fetched_again(self):
+        config = small_stc(1)
+        policy = RecordingPolicy(config)
+        events, controller = make_controller(policy, config)
+        done = []
+        hit = self._hit_then_queue_serve(controller, events, done)
+        # Another group's fill evicts the hit before the serve hop runs.
+        controller.stc.insert(5, (0,) * 9, controller.st.entry(5))
+        assert not hit.resident
+        events.run()
+        # A fresh probe would miss: the ST entry is fetched again and
+        # the request is served from, and counted on, the new entry.
+        assert done
+        assert self._st_reads(controller) == 2
+        refetched = controller.stc.peek(4)
+        assert refetched is not hit and refetched.resident
+        assert hit.count(2) == 1
+        assert refetched.count(2) == 1
+        assert [entry is probe for entry, probe in policy.seen] == [True, True]
+        assert policy.seen[-1][0] is refetched
+        assert controller.core_stats[0].requests == 2
+
+    def test_evicted_and_refilled_hit_serves_from_the_new_entry(self):
+        config = small_stc(1)
+        policy = RecordingPolicy(config)
+        events, controller = make_controller(policy, config)
+        done = []
+        hit = self._hit_then_queue_serve(controller, events, done)
+        controller.stc.insert(5, (0,) * 9, controller.st.entry(5))
+        st_entry = controller.st.entry(4)
+        controller.stc.insert(4, tuple(st_entry.qac), st_entry)
+        refilled = controller.stc.peek(4)
+        assert not hit.resident and refilled.resident
+        events.run()
+        # A fresh probe would hit the re-filled entry: no fetch, and the
+        # request counts there, not on the evicted entry.
+        assert done
+        assert self._st_reads(controller) == 1
+        assert hit.count(2) == 1
+        assert refilled.count(2) == 1
+        assert policy.seen[-1][0] is refilled
+        assert controller.core_stats[0].requests == 2
+
+    def test_resident_hit_is_served_without_a_second_probe(self, monkeypatch):
+        events, controller = make_controller()
+        done = []
+        hit = self._hit_then_queue_serve(controller, events, done)
+        monkeypatch.setattr(
+            controller, "_stc_peek", lambda group: pytest.fail("probed")
+        )
+        events.run()
+        assert done
+        assert hit.count(2) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ways=st.integers(1, 3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["access", "fill", "run"]),
+                st.integers(0, 7),
+                st.integers(0, 8),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    def test_served_entry_is_what_a_fresh_probe_returns(self, ways, ops):
+        # Fills land between an access and its serve hop: they evict
+        # carried hits, re-fill evicted groups, and insert over groups
+        # that are resident or have an ST fetch in flight.
+        config = small_stc(ways)
+        policy = RecordingPolicy(config)
+        events, controller = make_controller(policy, config)
+        accesses = 0
+        for op, group, slot, is_write in ops:
+            if op == "access":
+                controller.access(0, line_of(controller, group, slot), is_write)
+                accesses += 1
+            elif op == "fill":
+                st_entry = controller.st.entry(group)
+                controller.stc.insert(group, tuple(st_entry.qac), st_entry)
+            else:
+                events.run()
+        events.run()
+        assert len(policy.seen) == accesses
+        assert all(entry is probe for entry, probe in policy.seen)
+        assert controller.core_stats[0].requests == accesses
 
 
 class TestSwaps:

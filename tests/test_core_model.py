@@ -1,5 +1,6 @@
 """Trace-driven core timing-model tests."""
 
+import pytest
 
 from repro.common.config import CoreConfig
 from repro.common.events import EventQueue
@@ -85,6 +86,33 @@ class TestMLP:
         core, memory = run_core(trace, CoreConfig(mlp=2), latency=500)
         assert len(memory.requests) == 8
         assert core.finished_at >= (8 // 2 - 1) * 500
+
+
+class TestInFlightLimits:
+    @pytest.mark.parametrize("gap", [0, 4])
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_limit_is_reached_and_never_exceeded(self, gap, is_write, limit):
+        # Dispatches arrive both from a compute gap (a scheduled
+        # dispatch) and from a completion that frees a slot.
+        trace = Trace.from_records([(gap, i, is_write) for i in range(24)])
+        config = CoreConfig(mlp=limit, write_buffer=limit)
+        events = EventQueue()
+        in_flight = []
+
+        def access(core_id, line, write, on_complete):
+            # The core counts a request in flight before it calls access.
+            in_flight.append(
+                core.writes_in_flight if write else core.outstanding_reads
+            )
+            events.schedule(events.now + 500, on_complete)
+
+        core = TraceCore(0, config, trace, events, access)
+        core.start()
+        events.run()
+        assert len(in_flight) == 24
+        assert max(in_flight) == limit
+        assert core.outstanding_reads == core.writes_in_flight == 0
 
 
 class TestWrites:

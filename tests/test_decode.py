@@ -17,9 +17,42 @@ from repro.common.errors import TraceError
 from repro.common.events import EventQueue
 from repro.cpu.core_model import TraceCore
 from repro.cpu.trace import Trace
-from repro.perf.decode_bench import batched_decode, legacy_decode
 from repro.traces.decode import DEFAULT_CHUNK_REQUESTS, TraceDecoder
 from repro.traces.generator import synthesize_trace
+
+
+def legacy_decode(trace, issue_ipc):
+    """The seed's per-element front end, verbatim: the decode oracle.
+
+    Returns ``(compute_cycles, lines, writes, retired)`` where
+    ``retired[i]`` is the instructions retired by request ``i`` alone
+    (``gap + 1``).
+    """
+    gaps = [int(gap) for gap in trace.gaps]
+    lines = [int(line) for line in trace.lines]
+    writes = [bool(write) for write in trace.writes]
+    cycles = [
+        math.ceil(gap / issue_ipc) if gap > 0 else 0 for gap in gaps
+    ]
+    retired = [gap + 1 for gap in gaps]
+    return cycles, lines, writes, retired
+
+
+def batched_decode(trace, issue_ipc):
+    """The batched front end, every chunk concatenated into whole-trace
+    lists shaped like :func:`legacy_decode`'s output."""
+    decoder = TraceDecoder(trace, issue_ipc)
+    cycles, lines, writes, retired = [], [], [], []
+    for index in range(decoder.num_chunks):
+        chunk = decoder.chunk(index)
+        cycles.extend(chunk.cycles)
+        lines.extend(chunk.lines)
+        writes.extend(chunk.writes)
+        prefix = chunk.retired_prefix
+        retired.extend(
+            prefix[i + 1] - prefix[i] for i in range(chunk.length)
+        )
+    return cycles, lines, writes, retired
 
 
 def _mixed_trace(n=24):

@@ -1,5 +1,6 @@
 """Execution-subsystem tests: RunSpec keys, disk cache, parallelism."""
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,70 @@ class TestRunSpecKeys:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             spec(kind="bogus")
+
+
+class TestKeyMemo:
+    """``cache_key()`` digests once per instance; the memo is not a field."""
+
+    def test_memo_equals_a_fresh_digest(self):
+        s = spec()
+        assert "_cache_key" not in vars(s)
+        key = s.cache_key()
+        assert vars(s)["_cache_key"] == key
+        assert s.cache_key() == key
+        # A spec built from the same fields digests afresh to the same key.
+        fresh = spec()
+        assert "_cache_key" not in vars(fresh)
+        assert fresh.cache_key() == key
+
+    def test_memo_is_what_the_second_call_returns(self, monkeypatch):
+        from repro.exec import spec as spec_module
+
+        s = spec()
+        key = s.cache_key()
+        monkeypatch.setattr(
+            spec_module,
+            "canonical_digest",
+            lambda value: pytest.fail("digested twice"),
+        )
+        assert s.cache_key() == key
+
+    def test_memo_survives_pickling(self, monkeypatch):
+        from repro.exec import spec as spec_module
+
+        s = spec()
+        key = s.cache_key()
+        restored = pickle.loads(pickle.dumps(s))
+        assert restored == s
+        monkeypatch.setattr(
+            spec_module,
+            "canonical_digest",
+            lambda value: pytest.fail("digested after unpickling"),
+        )
+        assert restored.cache_key() == key
+
+    def test_replace_and_with_config_recompute(self):
+        s = spec()
+        key = s.cache_key()
+        replaced = replace(s, seed=1)
+        assert "_cache_key" not in vars(replaced)
+        assert replaced.cache_key() == spec(seed=1).cache_key() != key
+        reconfigured = s.with_config(mdm=MDMConfig(min_benefit=9.0))
+        assert "_cache_key" not in vars(reconfigured)
+        tweaked = replace(CONFIG, mdm=MDMConfig(min_benefit=9.0))
+        assert reconfigured.cache_key() == spec(config=tweaked).cache_key()
+        assert reconfigured.cache_key() != key
+        # An unchanged copy digests to the same key, memo or not.
+        assert replace(s).cache_key() == key
+
+    def test_memo_leaves_equality_and_hashing_unchanged(self):
+        memoized, plain = spec(), spec()
+        before = hash(memoized)
+        memoized.cache_key()
+        assert memoized == plain and plain == memoized
+        assert hash(memoized) == hash(plain) == before
+        assert len({memoized, plain}) == 1
+        assert repr(memoized) == repr(plain)
 
 
 class TestResultCache:

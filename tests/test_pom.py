@@ -1,6 +1,8 @@
 """PoM policy tests: competing counters, epochs, prohibit mode."""
 
 
+from hypothesis import given, settings, strategies as st
+
 from repro.cache.stc import STCEntry
 from repro.common.config import PoMConfig, paper_quad_core, with_overrides
 from repro.hybrid.st_entry import STEntry
@@ -99,6 +101,64 @@ class TestDecisions:
         policy.on_swap(1, 2, 0)
         counter = policy._counters[1]
         assert counter.value == 0
+
+
+class TestInlineCounter:
+    """``on_access`` moves the group's competing counter in place; the
+    CompetingCounter methods are the reference it must track."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counter_max=st.integers(1, 63),
+        write_weight=st.integers(1, 16),
+        threshold=st.sampled_from([None, 1, 2, 6, 18, 48]),
+        accesses=st.lists(
+            st.tuples(
+                st.booleans(),  # served from M1
+                st.integers(0, 8),  # slot
+                st.booleans(),  # write
+                st.booleans(),  # a swap commits afterwards
+            ),
+            max_size=80,
+        ),
+    )
+    def test_lockstep_with_competing_counter(
+        self, counter_max, write_weight, threshold, accesses
+    ):
+        cfg = with_overrides(
+            CONFIG,
+            write_access_weight=write_weight,
+            pom=PoMConfig(counter_max=counter_max, epoch_requests=10**9),
+        )
+        policy = PoMPolicy(cfg)
+        policy.threshold = threshold
+        reference = CompetingCounter()
+        for in_m1, slot, is_write, swap in accesses:
+            weight = write_weight if is_write else 1
+            location = 0 if in_m1 else 1 + slot % 8
+            decision = policy.on_access(
+                make_ctx(slot=slot, location=location, is_write=is_write)
+            )
+            if in_m1:
+                reference.observe_m1(weight)
+                expected = None
+            else:
+                reference.observe_m2(slot, weight, counter_max)
+                promote = (
+                    threshold is not None
+                    and reference.candidate == slot
+                    and reference.value >= threshold
+                )
+                expected = slot if promote else None
+            counter = policy._counters[1]
+            assert (counter.candidate, counter.value) == (
+                reference.candidate,
+                reference.value,
+            )
+            assert decision == expected
+            if swap:
+                policy.on_swap(1, slot, 0)
+                reference.reset()
 
 
 class TestEpochs:

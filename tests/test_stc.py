@@ -88,3 +88,56 @@ class TestCacheBehaviour:
         entry = stc.peek(0)
         stc.bump(entry, 0, 100)
         assert entry.count(0) == 7
+
+
+class TestResidency:
+    """``resident`` is True exactly while the entry is the one the STC
+    holds for its group."""
+
+    def test_inserted_entry_is_resident(self):
+        stc = make_stc()
+        stc.insert(0, (0,) * 9)
+        assert stc.peek(0).resident
+
+    def test_insert_eviction_clears_resident(self):
+        stc = make_stc(sets=1, assoc=1)
+        evicted = []
+        stc.on_eviction(lambda e: evicted.append((e, e.resident)))
+        stc.insert(0, (0,) * 9)
+        first = stc.peek(0)
+        assert stc.insert(1, (0,) * 9) is first
+        assert not first.resident
+        assert stc.peek(1).resident
+        # The eviction callbacks already see the entry as gone.
+        assert evicted == [(first, False)]
+
+    def test_flush_clears_resident(self):
+        stc = make_stc()
+        stc.insert(0, (0,) * 9)
+        stc.insert(1, (0,) * 9)
+        entries = [stc.peek(0), stc.peek(1)]
+        assert sorted(e.group for e in stc.flush()) == [0, 1]
+        assert [e.resident for e in entries] == [False, False]
+
+    def test_insert_over_a_resident_key_clears_the_old_entry(self):
+        stc = make_stc()
+        evicted = []
+        stc.on_eviction(evicted.append)
+        stc.insert(0, (0,) * 9)
+        old = stc.peek(0)
+        assert stc.insert(0, (1,) * 9) is None
+        new = stc.peek(0)
+        assert new is not old
+        assert not old.resident and new.resident
+        assert new.qac_at_insert == (1,) * 9
+        assert evicted == []
+
+    def test_at_most_one_resident_entry_per_group(self):
+        stc = make_stc(sets=2, assoc=2)
+        made = []
+        for group in (0, 2, 0, 4, 2, 0, 6, 0, 0):
+            stc.insert(group, (0,) * 9)
+            made.append(stc.peek(group))
+        for group in (0, 2, 4, 6):
+            resident = [e for e in made if e.group == group and e.resident]
+            assert resident == ([stc.peek(group)] if stc.peek(group) else [])
