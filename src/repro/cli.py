@@ -726,6 +726,8 @@ def _golden(args: argparse.Namespace) -> int:
     import json
     import platform
 
+    import numpy
+
     from repro.sim.golden import check_against_blobs, golden_digests
 
     digests = golden_digests()
@@ -735,6 +737,9 @@ def _golden(args: argparse.Namespace) -> int:
         args.out.write_text(
             json.dumps(
                 {
+                    # Trace bytes rest on numpy's Generator transforms
+                    # as well as on Python.
+                    "numpy": numpy.__version__,
                     "python": platform.python_version(),
                     "scenarios": digests,
                 },

@@ -553,12 +553,23 @@ class SystemConfig:
         cache_key` minted before the policy-registry redesign — is
         unchanged, and existing disk caches keep hitting.  Any non-default
         axis value re-enters the digest and yields a new token.
+
+        The token is computed once per instance and memoized on it, as
+        :meth:`repro.exec.spec.RunSpec.cache_key` memoizes its key (the
+        config tree is frozen, so the memo cannot go stale).  The memo is
+        not a field: equality, hashing and ``replace()`` never see it,
+        and it travels with a pickled config.
         """
+        memo: str | None = self.__dict__.get("_cache_token")
+        if memo is not None:
+            return memo
         value = canonical_value(self)
         assert isinstance(value, dict)
         if value["axes"] == canonical_value(PolicyAxesConfig()):
             del value["axes"]
-        return canonical_digest(value)
+        token = canonical_digest(value)
+        object.__setattr__(self, "_cache_token", token)
+        return token
 
     def tunables(self) -> dict[str, object]:
         """Per-policy tunable namespaces, keyed by registry base name.

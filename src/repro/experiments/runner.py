@@ -81,6 +81,8 @@ class ExperimentRunner:
         transport: str = "auto",
     ) -> None:
         self.scale = scale
+        self._quad_config: Optional[SystemConfig] = None
+        self._single_config: Optional[SystemConfig] = None
         self.multi_requests = multi_requests
         self.single_requests = single_requests
         self.seed = seed
@@ -154,13 +156,24 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Configurations
     # ------------------------------------------------------------------
+    # Without overrides, each of these returns one shared instance per
+    # runner, so every spec built on it reuses the config's memoized
+    # cache token instead of digesting an equal copy.
     def quad_config(self, **overrides) -> SystemConfig:
         """The multi-program system (Table 8), at this runner's scale."""
-        return replace(paper_quad_core(scale=self.scale), **overrides)
+        if overrides:
+            return replace(self.quad_config(), **overrides)
+        if self._quad_config is None:
+            self._quad_config = paper_quad_core(scale=self.scale)
+        return self._quad_config
 
     def single_config(self, **overrides) -> SystemConfig:
         """The single-program system (Section 4.1), at this runner's scale."""
-        return replace(paper_single_core(scale=self.scale), **overrides)
+        if overrides:
+            return replace(self.single_config(), **overrides)
+        if self._single_config is None:
+            self._single_config = paper_single_core(scale=self.scale)
+        return self._single_config
 
     # ------------------------------------------------------------------
     # Traces

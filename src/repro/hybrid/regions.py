@@ -16,6 +16,7 @@ plausible first-touch OS policy.
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +31,15 @@ class RegionMap:
     def __init__(self, address_map: AddressMap, num_programs: int) -> None:
         if num_programs >= address_map.num_regions:
             raise ConfigError("more programs than regions")
-        self._map = address_map
         self.num_programs = num_programs
         #: Program -> its private region.  Regions 0..num_programs-1 are
         #: dedicated; the remainder are shared.
         self.private_region = {pid: pid for pid in range(num_programs)}
+        shared = tuple(range(num_programs, address_map.num_regions))
+        self._allowed = {
+            pid: (region,) + shared
+            for pid, region in self.private_region.items()
+        }
 
     def is_private_to(self, region: int, program: int) -> bool:
         """True if ``region`` is ``program``'s own private region."""
@@ -44,13 +49,10 @@ class RegionMap:
         """True if ``region`` is private to any program."""
         return region < self.num_programs
 
-    def allowed_regions(self, program: int) -> list[int]:
-        """Regions whose frames ``program`` may receive."""
-        return [self.private_region[program]] + [
-            region
-            for region in range(self._map.num_regions)
-            if not self.is_private(region)
-        ]
+    def allowed_regions(self, program: int) -> tuple[int, ...]:
+        """Regions whose frames ``program`` may receive: its private
+        region, then every shared region in ascending order."""
+        return self._allowed[program]
 
 
 class OSAllocator:
@@ -67,14 +69,22 @@ class OSAllocator:
         #: region -> stack of free frame numbers (pre-shuffled).  Each
         #: list starts in ascending frame order and is shuffled in region
         #: order, so frame placement is a function of the seed alone.
-        pages = np.arange(address_map.total_pages, dtype=np.int64)
-        regions = address_map.region_of_pages(pages)
-        self._free: dict[int, list[int]] = {
-            region: pages[regions == region].tolist()
-            for region in range(address_map.num_regions)
-        }
-        for frames in self._free.values():
+        #: A stable sort by region lists every region's frames in
+        #: ascending order, one region after another.
+        regions = address_map.region_of_pages(
+            np.arange(address_map.total_pages, dtype=np.int64)
+        )
+        by_region: list[int] = np.argsort(regions, kind="stable").tolist()
+        counts = np.bincount(regions, minlength=address_map.num_regions)
+        self._free: dict[int, list[int]] = {}
+        start = 0
+        for region, count in enumerate(counts.tolist()):
+            frames = by_region[start:start + count]
+            start += count
+            # Shuffling a list draws exactly what shuffling an ndarray
+            # of the same length would, and is faster at region sizes.
             rng.shuffle(frames)
+            self._free[region] = frames
         #: frame -> owning program.
         self._owner: dict[int, int] = {}
 
@@ -89,22 +99,24 @@ class OSAllocator:
         (private region included on equal footing), skipping exhausted
         regions.  Raises SimulationError when memory is exhausted.
         """
-        allowed = self._regions.allowed_regions(program)
+        free_lists = [
+            self._free[region]
+            for region in self._regions.allowed_regions(program)
+        ]
+        owner = self._owner
         frames: list[int] = []
-        cursor = 0
         misses = 0
-        while len(frames) < num_pages:
-            region = allowed[cursor % len(allowed)]
-            cursor += 1
-            free = self._free[region]
+        for free in cycle(free_lists):
+            if len(frames) >= num_pages:
+                break
             if free:
                 frame = free.pop()
-                self._owner[frame] = program
+                owner[frame] = program
                 frames.append(frame)
                 misses = 0
             else:
                 misses += 1
-                if misses >= len(allowed):
+                if misses >= len(free_lists):
                     raise SimulationError(
                         f"out of memory allocating page {len(frames)} of "
                         f"{num_pages} for program {program}"

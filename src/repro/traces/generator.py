@@ -10,6 +10,7 @@ replays byte-identical traces.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from repro.common.errors import TraceError
 from repro.common.rng import make_rng
 from repro.common.units import MB
 from repro.cpu.trace import Trace
+from repro.traces.draws import DrawStream
 from repro.traces.patterns import (
     ChaseComponent,
     HotSetComponent,
@@ -120,10 +122,17 @@ def _synthesize(
     else:
         gaps = np.zeros(num_requests, dtype=np.int64)
 
-    lines = np.empty(num_requests, dtype=np.int64)
-    writes = np.empty(num_requests, dtype=bool)
-    for index, component_index in enumerate(choices):
-        line, is_write = components[component_index].next_access(rng)
-        lines[index] = line
-        writes[index] = is_write
-    return Trace(gaps=gaps.astype(np.int64), lines=lines, writes=writes)
+    # The per-request draws come from batches of raw bit-generator
+    # output, bit-identical to scalar Generator calls (repro.traces.draws).
+    draws = DrawStream(rng)
+    steps = [component.walker(draws) for component in components]
+    accesses = [steps[index]() for index in choices.tolist()]
+    return Trace(
+        gaps=gaps.astype(np.int64),
+        lines=np.fromiter(
+            map(itemgetter(0), accesses), np.int64, num_requests
+        ),
+        writes=np.fromiter(
+            map(itemgetter(1), accesses), np.bool_, num_requests
+        ),
+    )

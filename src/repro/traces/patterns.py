@@ -1,8 +1,11 @@
 """Access-pattern primitives for trace synthesis.
 
-Each component owns a contiguous virtual-address range and produces one
-(line, is_write) pair per step.  A program is a weighted mixture of
-components (:mod:`repro.traces.generator` interleaves them), mirroring
+Each component owns a contiguous virtual-address range.  Its
+:meth:`~PatternComponent.walker` starts a walk over that range: a
+generator holds the walk's state, and each call of the step it returns
+produces the next (line, is_write) pair, drawing from a
+:class:`~repro.traces.draws.DrawStream`.  A program is a weighted mixture
+of components (:mod:`repro.traces.generator` interleaves them), mirroring
 how real programs interleave accesses to differently-behaved data
 structures (Section 4.2 characterizes mcf/omnetpp/libquantum as irregular
 and pointer-based, soplex as mixed, and so on).
@@ -15,12 +18,18 @@ under study are per-block reuse counts and residency patterns.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from typing import Callable, Iterator
 
 import numpy as np
 
 from repro.common.errors import TraceError
+from repro.traces.draws import DrawStream
 
 LINES_PER_BLOCK = 32
+
+#: One step of a walk: the next (virtual line, is_write).
+Step = Callable[[], tuple[int, bool]]
 
 
 class PatternComponent(ABC):
@@ -42,15 +51,13 @@ class PatternComponent(ABC):
         """2-KB blocks in this component's range."""
         return self.num_lines // LINES_PER_BLOCK
 
-    def _line(self, block: int, offset: int) -> int:
-        return self.start_line + block * LINES_PER_BLOCK + offset
-
-    def _is_write(self, rng: np.random.Generator) -> bool:
-        return bool(rng.random() < self.write_fraction)
-
     @abstractmethod
-    def next_access(self, rng: np.random.Generator) -> tuple[int, bool]:
-        """Produce the next (virtual line, is_write)."""
+    def walker(self, draws: DrawStream) -> Step:
+        """Start a walk: each call of the result is the next access.
+
+        Every call draws its write flag last, with
+        ``draws.chance(write_fraction)``.
+        """
 
 
 class StreamComponent(PatternComponent):
@@ -82,22 +89,25 @@ class StreamComponent(PatternComponent):
         self.num_streams = min(num_streams, self.num_blocks)
         stripe_blocks = self.num_blocks // self.num_streams
         self._stripe_lines = max(stripe_blocks * LINES_PER_BLOCK, 1)
-        self._positions = [0] * self.num_streams
-        self._touches = [0] * self.num_streams
-        self._turn = 0
 
-    def next_access(self, rng: np.random.Generator) -> tuple[int, bool]:
-        stream = self._turn
-        self._turn = (self._turn + 1) % self.num_streams
-        base = stream * self._stripe_lines
-        line = self.start_line + base + self._positions[stream]
-        self._touches[stream] += 1
-        if self._touches[stream] >= self.touches_per_line:
-            self._touches[stream] = 0
-            self._positions[stream] = (
-                self._positions[stream] + 1
-            ) % self._stripe_lines
-        return line, self._is_write(rng)
+    def walker(self, draws: DrawStream) -> Step:
+        is_write = draws.chance(self.write_fraction)
+        touches = range(self.touches_per_line)
+        # The streams advance in lockstep, one access each per turn.
+        bases = [
+            self.start_line + stream * self._stripe_lines
+            for stream in range(self.num_streams)
+        ]
+        positions = range(self._stripe_lines)
+
+        def accesses() -> Iterator[tuple[int, bool]]:
+            while True:
+                for position in positions:
+                    for _ in touches:
+                        for base in bases:
+                            yield base + position, is_write()
+
+        return accesses().__next__
 
 
 class HotSetComponent(PatternComponent):
@@ -124,23 +134,35 @@ class HotSetComponent(PatternComponent):
         self.episode_length = episode_length
         ranks = np.arange(1, self.num_blocks + 1, dtype=np.float64)
         weights = ranks ** (-zipf_s)
-        self._cdf = np.cumsum(weights / weights.sum())
-        self._block = 0
-        self._remaining = 0
-        self._offset = 0
+        cdf = np.cumsum(weights / weights.sum())
+        # The rounded sum can fall short of 1.0; a draw above it would
+        # pick block num_blocks, one past the range.
+        cdf[-1] = 1.0
+        #: Zipf CDF over blocks; ``bisect_left`` on it is
+        #: ``searchsorted(side="left")``.
+        self._cdf: list[float] = cdf.tolist()
 
-    def _draw_block(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, rng.random()))
+    def walker(self, draws: DrawStream) -> Step:
+        random, integers, geometric = (
+            draws.random, draws.integers, draws.geometric,
+        )
+        is_write = draws.chance(self.write_fraction)
+        cdf = self._cdf
+        start_line = self.start_line
+        p = 1.0 / self.episode_length
 
-    def next_access(self, rng: np.random.Generator) -> tuple[int, bool]:
-        if self._remaining <= 0:
-            self._block = self._draw_block(rng)
-            self._remaining = int(rng.geometric(1.0 / self.episode_length))
-            self._offset = int(rng.integers(0, LINES_PER_BLOCK))
-        self._remaining -= 1
-        line = self._line(self._block, self._offset)
-        self._offset = (self._offset + 1) % LINES_PER_BLOCK
-        return line, self._is_write(rng)
+        def accesses() -> Iterator[tuple[int, bool]]:
+            while True:
+                block = bisect_left(cdf, random())
+                block_line = start_line + block * LINES_PER_BLOCK
+                length = geometric(p)
+                offset = integers(0, LINES_PER_BLOCK)
+                # Sequential from the drawn offset, wrapping in the block.
+                for _ in range(length):
+                    yield block_line + offset, is_write()
+                    offset = (offset + 1) % LINES_PER_BLOCK
+
+        return accesses().__next__
 
 
 class ChaseComponent(PatternComponent):
@@ -169,22 +191,30 @@ class ChaseComponent(PatternComponent):
         self.window_blocks = min(window_blocks, self.num_blocks)
         self.jump_probability = jump_probability
         self.episode_length = episode_length
-        self._position = 0
-        self._block = 0
-        self._remaining = 0
 
-    def next_access(self, rng: np.random.Generator) -> tuple[int, bool]:
-        if self._remaining <= 0:
-            if rng.random() < self.jump_probability:
-                self._position = int(rng.integers(0, self.num_blocks))
-            half = self.window_blocks // 2
-            low = max(0, self._position - half)
-            high = min(self.num_blocks, self._position + half + 1)
-            self._block = int(rng.integers(low, high))
-            self._position = self._block
-            self._remaining = max(
-                1, int(rng.geometric(1.0 / self.episode_length))
-            )
-        self._remaining -= 1
-        offset = int(rng.integers(0, LINES_PER_BLOCK))
-        return self._line(self._block, offset), self._is_write(rng)
+    def walker(self, draws: DrawStream) -> Step:
+        integers, geometric = draws.integers, draws.geometric
+        jumps = draws.chance(self.jump_probability)
+        is_write = draws.chance(self.write_fraction)
+        num_blocks = self.num_blocks
+        half = self.window_blocks // 2
+        start_line = self.start_line
+        p = 1.0 / self.episode_length
+
+        def accesses() -> Iterator[tuple[int, bool]]:
+            position = 0
+            while True:
+                if jumps():
+                    position = integers(0, num_blocks)
+                low = position - half
+                high = position + half + 1
+                position = integers(
+                    low if low > 0 else 0,
+                    high if high < num_blocks else num_blocks,
+                )
+                block_line = start_line + position * LINES_PER_BLOCK
+                for _ in range(geometric(p)):
+                    line = block_line + integers(0, LINES_PER_BLOCK)
+                    yield line, is_write()
+
+        return accesses().__next__

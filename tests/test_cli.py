@@ -171,7 +171,8 @@ class TestGoldenCommand:
         assert code == 0
         assert "byte-identical" in capsys.readouterr().out
         payload = json.loads(out.read_text())
-        assert set(payload) == {"python", "scenarios"}
+        assert set(payload) == {"numpy", "python", "scenarios"}
+        assert payload["numpy"] == __import__("numpy").__version__
         assert all(
             len(digest) == 64 for digest in payload["scenarios"].values()
         )

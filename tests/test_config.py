@@ -1,6 +1,7 @@
 """Configuration and preset tests (Table 8, Section 4.1 derivations)."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -180,3 +181,57 @@ class TestSubConfigs:
     def test_system_rejects_zero_cores(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_cores=0)
+
+
+class TestTokenMemo:
+    """``cache_token()`` digests once per instance; the memo is not a
+    field."""
+
+    def test_equal_configs_share_a_token(self):
+        first, second = paper_quad_core(scale=64), paper_quad_core(scale=64)
+        assert first is not second
+        assert first.cache_token() == second.cache_token()
+        assert "_cache_token" in vars(first)
+
+    def test_second_call_does_not_digest(self, monkeypatch):
+        from repro.common import config as config_module
+
+        config = paper_single_core(scale=128)
+        token = config.cache_token()
+        monkeypatch.setattr(
+            config_module,
+            "canonical_digest",
+            lambda value: pytest.fail("digested twice"),
+        )
+        assert config.cache_token() == token
+
+    def test_memo_survives_pickling(self, monkeypatch):
+        from repro.common import config as config_module
+
+        config = paper_quad_core(scale=128)
+        token = config.cache_token()
+        restored = pickle.loads(pickle.dumps(config))
+        assert restored == config
+        monkeypatch.setattr(
+            config_module,
+            "canonical_digest",
+            lambda value: pytest.fail("digested after unpickling"),
+        )
+        assert restored.cache_token() == token
+
+    def test_replace_recomputes(self):
+        config = paper_quad_core(scale=128)
+        token = config.cache_token()
+        changed = dataclasses.replace(config, frfcfs_cap=config.frfcfs_cap + 1)
+        assert "_cache_token" not in vars(changed)
+        assert changed.cache_token() != token
+        assert with_overrides(config).cache_token() == token
+        assert "_cache_token" not in vars(with_overrides(config))
+
+    def test_memo_leaves_equality_hash_and_repr_unchanged(self):
+        memoized, plain = paper_quad_core(scale=64), paper_quad_core(scale=64)
+        before_hash, before_repr = hash(memoized), repr(memoized)
+        memoized.cache_token()
+        assert memoized == plain
+        assert hash(memoized) == hash(plain) == before_hash
+        assert repr(memoized) == repr(plain) == before_repr

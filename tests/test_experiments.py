@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.config import paper_quad_core, paper_single_core
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExperimentRunner
@@ -33,6 +34,31 @@ class TestRunnerCaching:
     def test_configs_scaled(self, runner):
         assert runner.quad_config().scale == 128
         assert runner.single_config().num_cores == 1
+
+
+class TestSharedConfigs:
+    def test_without_overrides_one_instance(self):
+        runner = ExperimentRunner(scale=128)
+        assert runner.quad_config() is runner.quad_config()
+        assert runner.single_config() is runner.single_config()
+        assert runner.spec_alone("mcf", "pom").config is runner.quad_config()
+        assert (
+            runner.spec_single("mcf", "pom").config is runner.single_config()
+        )
+
+    def test_overrides_build_a_new_instance(self):
+        runner = ExperimentRunner(scale=128)
+        shared = runner.quad_config()
+        changed = runner.quad_config(frfcfs_cap=shared.frfcfs_cap + 1)
+        assert changed is not shared
+        assert changed.frfcfs_cap == shared.frfcfs_cap + 1
+        assert changed.cache_token() != shared.cache_token()
+        assert runner.quad_config() is shared
+
+    def test_shared_instance_equals_a_fresh_preset(self):
+        runner = ExperimentRunner(scale=128)
+        assert runner.quad_config() == paper_quad_core(scale=128)
+        assert runner.single_config() == paper_single_core(scale=128)
 
 
 class TestWorkloadMetrics:

@@ -1,10 +1,12 @@
 """Region map and OS page-frame allocator tests (Section 3.1.1)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.common.config import paper_quad_core
+from repro.common.config import paper_quad_core, paper_single_core
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
 from repro.hybrid.address import AddressMap
@@ -176,3 +178,122 @@ class TestPageTable:
         assert translated.tolist() == [
             table.translate_line(line, lines_per_page) for line in lines
         ]
+
+
+class MaskLoopAllocator:
+    """The allocator's earlier build and allocate loop: one boolean mask
+    over every page per region, and the allowed regions rebuilt on every
+    allocate.  The lockstep reference for :class:`OSAllocator`."""
+
+    def __init__(self, amap, num_programs, rng):
+        self.num_programs = num_programs
+        self.num_regions = amap.num_regions
+        pages = np.arange(amap.total_pages, dtype=np.int64)
+        regions = amap.region_of_pages(pages)
+        self.free = {
+            region: pages[regions == region].tolist()
+            for region in range(amap.num_regions)
+        }
+        for frames in self.free.values():
+            rng.shuffle(frames)
+        self.owner = {}
+
+    def allocate(self, program, num_pages):
+        allowed = [program] + [
+            region
+            for region in range(self.num_regions)
+            if not region < self.num_programs
+        ]
+        frames = []
+        cursor = 0
+        misses = 0
+        while len(frames) < num_pages:
+            region = allowed[cursor % len(allowed)]
+            cursor += 1
+            free = self.free[region]
+            if free:
+                frame = free.pop()
+                self.owner[frame] = program
+                frames.append(frame)
+                misses = 0
+            else:
+                misses += 1
+                if misses >= len(allowed):
+                    raise SimulationError(
+                        f"out of memory allocating page {len(frames)} of "
+                        f"{num_pages} for program {program}"
+                    )
+        return frames
+
+
+#: (system, scale, regions, programs); 8 and 4 regions exhaust quickly.
+GEOMETRIES = (
+    (paper_quad_core, 64, 128, 4),
+    (paper_quad_core, 128, 128, 4),
+    (paper_quad_core, 128, 8, 4),
+    (paper_quad_core, 256, 32, 3),
+    (paper_single_core, 128, 128, 1),
+    (paper_single_core, 128, 4, 1),
+)
+
+
+@lru_cache(maxsize=None)
+def _address_map(index):
+    system, scale, num_regions, _programs = GEOMETRIES[index]
+    return AddressMap(system(scale=scale, num_regions=num_regions))
+
+
+def _lockstep(index, seed):
+    amap = _address_map(index)
+    num_programs = GEOMETRIES[index][3]
+    rng, reference_rng = make_rng(seed, "alloc"), make_rng(seed, "alloc")
+    allocator = OSAllocator(amap, RegionMap(amap, num_programs), rng)
+    reference = MaskLoopAllocator(amap, num_programs, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert list(allocator._free) == list(reference.free)
+    assert allocator._free == reference.free
+    return allocator, reference, num_programs
+
+
+def _step(allocator, reference, program, pages):
+    """Allocate on both; True when the reference ran out of memory."""
+    try:
+        expected = reference.allocate(program, pages)
+    except SimulationError as error:
+        with pytest.raises(SimulationError) as raised:
+            allocator.allocate(program, pages)
+        assert str(raised.value) == str(error)
+        exhausted = True
+    else:
+        assert allocator.allocate(program, pages) == expected
+        exhausted = False
+    assert allocator._free == reference.free
+    assert allocator.frame_owners == reference.owner
+    return exhausted
+
+
+class TestAllocatorLockstep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        index=st.integers(0, len(GEOMETRIES) - 1),
+        seed=st.integers(0, 10_000),
+        requests=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 2500)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_matches_the_mask_loop(self, index, seed, requests):
+        allocator, reference, num_programs = _lockstep(index, seed)
+        for program, pages in requests:
+            _step(allocator, reference, program % num_programs, pages)
+
+    @pytest.mark.parametrize("index", range(len(GEOMETRIES)))
+    def test_exhaustion_matches_the_mask_loop(self, index):
+        allocator, reference, num_programs = _lockstep(index, 5)
+        total = _address_map(index).total_pages
+        # Every program runs dry in turn; later ones find only their own
+        # private region left, and in the end no frame is free.
+        for program in range(num_programs):
+            assert _step(allocator, reference, program, total + 1)
+        assert not any(reference.free.values())
