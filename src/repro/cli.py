@@ -809,13 +809,14 @@ def _lint(args: argparse.Namespace) -> int:
 
 
 def _policies(args: argparse.Namespace) -> int:
-    from repro.common.config import STC_REPLACEMENTS, SWAP_STYLES
+    from repro.cache.sets import REPLACEMENT_POLICIES
+    from repro.common.config import SWAP_STYLES
     from repro.policies.registry import guided_bases, iter_registered
 
     entries = list(iter_registered())
     guided = ", ".join(guided_bases())
     swap_styles = ", ".join(SWAP_STYLES)
-    stc_policies = ", ".join(STC_REPLACEMENTS)
+    stc_policies = ", ".join(REPLACEMENT_POLICIES)
     if args.markdown:
         print("| name | base | guidance | description |")
         print("| --- | --- | --- | --- |")

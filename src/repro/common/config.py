@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigError
-from repro.common.serialize import canonical_digest, canonical_value
+from repro.common.serialize import canonical_digest
 from repro.common.units import (
     KB,
     MB,
@@ -42,9 +42,6 @@ LINES_PER_BLOCK = 32
 #: not already re-home the demoted block, *noswap* disables migration
 #: traffic entirely (decision accounting still runs).
 SWAP_STYLES = ("fast", "slow", "smart", "noswap")
-#: Replacement policies selectable for the STC array.  Must stay a
-#: subset of :data:`repro.cache.sets.REPLACEMENT_POLICIES`.
-STC_REPLACEMENTS = ("lru", "fifo", "random", "lru-lip", "lfu")
 
 
 @dataclass(frozen=True)
@@ -368,44 +365,6 @@ class ProFessConfig:
 
 
 @dataclass(frozen=True)
-class PolicyAxesConfig:
-    """Config-level defaults for the composable policy axes.
-
-    Every axis defaults to "inherit" (empty string / zero): the policy
-    class's own default applies.  A :class:`repro.policies.registry.
-    PolicySpec` that names an axis explicitly overrides these defaults.
-    The field is deliberately OMITTED from :meth:`SystemConfig.
-    cache_token` while it holds only defaults, so every pre-redesign
-    cache key (and golden digest) is preserved byte-for-byte.
-    """
-
-    #: "" = policy-class default; otherwise one of :data:`SWAP_STYLES`.
-    swap_style: str = ""
-    #: Probability of dropping a decided promotion (0 disables; drawn
-    #: from the seeded ``migration-bypass`` substream).
-    bypass_rate: float = 0.0
-    #: "" = policy-class default; otherwise one of
-    #: :data:`STC_REPLACEMENTS`.
-    stc_replacement: str = ""
-
-    def __post_init__(self) -> None:
-        if self.swap_style and self.swap_style not in SWAP_STYLES:
-            raise ConfigError(
-                f"swap_style must be one of {SWAP_STYLES}, "
-                f"got {self.swap_style!r}"
-            )
-        if not 0.0 <= self.bypass_rate < 1.0:
-            raise ConfigError(
-                f"bypass_rate must be in [0, 1), got {self.bypass_rate!r}"
-            )
-        if self.stc_replacement and self.stc_replacement not in STC_REPLACEMENTS:
-            raise ConfigError(
-                f"stc_replacement must be one of {STC_REPLACEMENTS}, "
-                f"got {self.stc_replacement!r}"
-            )
-
-
-@dataclass(frozen=True)
 class EnergyConfig:
     """Per-event energy model for the off-chip memory system (Fig. 12/15).
 
@@ -433,7 +392,7 @@ class SystemConfig:
 
     Build one with :func:`paper_quad_core` or :func:`paper_single_core`
     (optionally scaled) rather than by hand; :func:`dataclasses.replace`
-    (re-exported as :func:`with_overrides`) customizes individual fields.
+    customizes individual fields.
     """
 
     num_cores: int = 4
@@ -454,9 +413,6 @@ class SystemConfig:
     mdm: MDMConfig = field(default_factory=MDMConfig)
     rsm: RSMConfig = field(default_factory=RSMConfig)
     profess: ProFessConfig = field(default_factory=ProFessConfig)
-    #: Config-level defaults for the composable policy axes (swap style,
-    #: probabilistic bypass, STC replacement); a PolicySpec overrides.
-    axes: PolicyAxesConfig = field(default_factory=PolicyAxesConfig)
     #: Writes count as this many accesses in policy statistics (Sec. 4.1:
     #: "we count each write request as eight accesses" for PoM and ProFess).
     write_access_weight: int = 8
@@ -470,14 +426,6 @@ class SystemConfig:
     #: Capacity divisor relative to the paper system (bookkeeping only;
     #: presets apply it to M1 capacity, trace modules apply it to footprints).
     scale: int = 1
-
-    #: Reviewed record of every field :meth:`cache_token` excludes from
-    #: the content hash (enforced by lint rule K401; stale entries are
-    #: K402).  An entry asserts the field cannot change simulation
-    #: results: ``axes`` is omitted only while it holds inherit-defaults
-    #: (any real value re-enters the digest).  Amending this tuple is a
-    #: reviewed decision — see DESIGN.md §16.
-    _CACHE_NEUTRAL_FIELDS = ("axes",)
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -546,14 +494,6 @@ class SystemConfig:
         formatting changes.  Two configs share a token iff every field
         value is equal; any semantic change yields a new token.
 
-        Back-compat: the ``axes`` field is omitted while it holds only
-        inherit-defaults.  A default ``axes`` cannot change any result
-        (every axis resolves to the policy class's own default), so the
-        token — and therefore every :meth:`repro.exec.spec.RunSpec.
-        cache_key` minted before the policy-registry redesign — is
-        unchanged, and existing disk caches keep hitting.  Any non-default
-        axis value re-enters the digest and yields a new token.
-
         The token is computed once per instance and memoized on it, as
         :meth:`repro.exec.spec.RunSpec.cache_key` memoizes its key (the
         config tree is frozen, so the memo cannot go stale).  The memo is
@@ -563,31 +503,9 @@ class SystemConfig:
         memo: str | None = self.__dict__.get("_cache_token")
         if memo is not None:
             return memo
-        value = canonical_value(self)
-        assert isinstance(value, dict)
-        if value["axes"] == canonical_value(PolicyAxesConfig()):
-            del value["axes"]
-        token = canonical_digest(value)
+        token = canonical_digest(self)
         object.__setattr__(self, "_cache_token", token)
         return token
-
-    def tunables(self) -> dict[str, object]:
-        """Per-policy tunable namespaces, keyed by registry base name.
-
-        The mapping view of the flat legacy fields (``config.pom``,
-        ``config.mdm``, ...), which remain as the back-compat spelling;
-        ``"axes"`` holds the cross-cutting axis defaults.
-        """
-        return {
-            "pom": self.pom,
-            "cameo": self.cameo,
-            "silcfm": self.silcfm,
-            "mempod": self.mempod,
-            "mdm": self.mdm,
-            "rsm": self.rsm,
-            "profess": self.profess,
-            "axes": self.axes,
-        }
 
     def derived_k(self) -> int:
         """PoM's K derived per Section 4.1 from the configured timings.
@@ -599,11 +517,6 @@ class SystemConfig:
         if diff <= 0:
             return 1
         return math.ceil(self.swap_latency_cycles() / diff)
-
-
-def with_overrides(config: SystemConfig, **changes: object) -> SystemConfig:
-    """Return a copy of ``config`` with the given top-level fields replaced."""
-    return replace(config, **changes)
 
 
 def _scaled_hybrid(

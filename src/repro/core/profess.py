@@ -1,7 +1,8 @@
 """ProFess: MDM guided by RSM (Section 3.3, Table 7).
 
 When the block in M1 and the accessed block in M2 belong to different
-programs, the relative slowdown factors steer the decision:
+programs, the relative slowdown factors steer the decision; the case is
+named by :func:`repro.core.rsm.table7_classifier`:
 
 * **Case 1** — c_M2 suffers more by both factors: aggressive help — treat
   M1 as vacant and let MDM judge only the benefit of the promotion.
@@ -10,9 +11,8 @@ programs, the relative slowdown factors steer the decision:
   the SF_A*SF_B products still favour c_M1: prohibit the swap.
 * Otherwise plain MDM decides.
 
-Each comparison uses a ~3 % hysteresis factor (1/32) and the Case-3
-product comparison uses twice that (~6 %), per Section 3.3.  Until RSM
-has produced slowdown factors for both programs, plain MDM applies.
+Until RSM has produced slowdown factors for both programs, plain MDM
+applies.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.common.config import SystemConfig
 from repro.core.mdm import MDMPolicy
+from repro.core.rsm import TABLE7_CASES, table7_classifier
 from repro.policies.base import AccessContext
 from repro.policies.registry import register_policy
 
@@ -33,52 +34,26 @@ class ProFessPolicy(MDMPolicy):
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
-        self._profess = config.profess
-        self.case_counts = {1: 0, 2: 0, 3: 0, "default": 0, "same": 0}
+        self._table7 = table7_classifier(config.profess)
+        self.case_counts = dict.fromkeys(TABLE7_CASES, 0)
 
     def on_access(self, ctx: AccessContext) -> Optional[int]:
         if ctx.location == 0:  # ctx.in_m1, sans the property call
             return None
         self.decisions += 1
-        if self._decide_guided(ctx):
+        controller = self._controller
+        c_m1 = ctx.m1_owner
+        case = self._table7(
+            controller.rsm if controller is not None else None,
+            c_m1,
+            ctx.owner,
+        )
+        self.case_counts[case] += 1
+        if case == 2 or case == 3:
+            return None  # protect c_M1's block
+        # Case 1 helps c_M2 as if it ran alone (M1 considered vacant);
+        # MDM still judges whether the swap benefits at all.
+        if self._decide_m2(ctx, m1_vacant=case == 1 or c_m1 is None):
             self.promotions += 1
             return ctx.slot
         return None
-
-    def _decide_guided(self, ctx: AccessContext) -> bool:
-        c_m1, c_m2 = ctx.m1_owner, ctx.owner
-        if c_m1 is None or c_m1 == c_m2:
-            # Same program on both sides (or vacant M1): plain MDM.
-            self.case_counts["same"] += 1
-            return self._decide_m2(ctx, m1_vacant=c_m1 is None)
-        controller = self._controller
-        rsm = controller.rsm if controller is not None else None
-        if rsm is None or rsm.sf_a[c_m1] is None or rsm.sf_a[c_m2] is None:
-            self.case_counts["default"] += 1
-            return self._decide_m2(ctx, m1_vacant=False)
-        sf_a1, sf_a2 = rsm.sf_a[c_m1], rsm.sf_a[c_m2]
-        sf_b1, sf_b2 = rsm.sf_b[c_m1], rsm.sf_b[c_m2]
-        factor = self._profess.sf_factor
-        product_factor = self._profess.product_factor
-        a_says_m2 = sf_a1 * factor < sf_a2
-        a_says_m1 = sf_a1 > sf_a2 * factor
-        b_says_m2 = sf_b1 * factor < sf_b2
-        b_says_m1 = sf_b1 > sf_b2 * factor
-        if a_says_m2 and b_says_m2:
-            # Case 1: help c_M2 as if it ran alone (consider M1 vacant);
-            # MDM still judges whether the swap benefits at all.
-            self.case_counts[1] += 1
-            return self._decide_m2(ctx, m1_vacant=True)
-        if a_says_m1 and b_says_m1:
-            self.case_counts[2] += 1
-            return False  # Case 2: protect c_M1's block
-        if (
-            self._profess.case3_enabled
-            and a_says_m2
-            and b_says_m1
-            and sf_a1 * sf_b1 > sf_a2 * sf_b2 * product_factor
-        ):
-            self.case_counts[3] += 1
-            return False  # Case 3: products still favour c_M1
-        self.case_counts["default"] += 1
-        return self._decide_m2(ctx, m1_vacant=False)

@@ -12,7 +12,9 @@ recomputed::
 
 and the raw counters reset.  SF_A and SF_B only *rank* programs by how
 much they suffer from M1 competition — they are not absolute slowdown
-estimates (Section 3.1.2).
+estimates (Section 3.1.2).  :func:`table7_classifier` turns that ranking
+into Table 7's guidance case (Section 3.3); it is the one place the
+cases are decided, for every RSM-guided policy.
 
 For Table 4, RSM can optionally track per-region request counts, yielding
 the sampling-accuracy estimates (sigma_req, sigma of raw and averaged
@@ -22,9 +24,9 @@ SF_A) the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
-from repro.common.config import RSMConfig
+from repro.common.config import ProFessConfig, RSMConfig
 from repro.common.smoothing import ExponentialSmoother
 from repro.common.stats import stddev
 
@@ -88,6 +90,69 @@ def _ratio_sf_b(swap_self: float, swap_total: float) -> Optional[float]:
     if swap_self <= 0:
         return None
     return swap_total / swap_self
+
+
+#: One Table 7 verdict: case 1, 2 or 3, or a no-case label.
+Table7Case = Union[int, str]
+#: Every verdict, in ``case_counts`` order: the three cases, then
+#: "default" (no case applies, or RSM has no factors yet for one of the
+#: two programs) and "same" (one program on both sides, or M1 vacant).
+TABLE7_CASES: tuple[Table7Case, ...] = (1, 2, 3, "default", "same")
+
+
+def table7_classifier(
+    config: ProFessConfig,
+) -> Callable[[Optional[RSM], Optional[int], Optional[int]], Table7Case]:
+    """Table 7 (Section 3.3): which case one guided decision takes.
+
+    The returned ``classify(rsm, c_m1, c_m2)`` reads the slowdown factors
+    of the programs owning the block in M1 (``c_m1``, None when vacant)
+    and the accessed block in M2 (``c_m2``); ``rsm`` is None on a system
+    without a monitor.  It returns one of :data:`TABLE7_CASES`:
+
+    * ``1`` — c_M2 suffers more by both factors: help it;
+    * ``2`` — c_M1 suffers more by both factors: protect its block;
+    * ``3`` — SF_A says c_M2 suffers more but SF_B says c_M1 does, and
+      the SF_A*SF_B products still favour c_M1: protect its block
+      (never taken when ``config.case3_enabled`` is off).
+
+    What a case does to the decision is the guided policy's part.  Each
+    comparison uses ``config``'s ~3 % hysteresis factor and the product
+    comparison twice that; both are computed here, once per classifier.
+    """
+    factor = config.sf_factor
+    product_factor = config.product_factor
+    case3_enabled = config.case3_enabled
+
+    def classify(
+        rsm: Optional[RSM], c_m1: Optional[int], c_m2: Optional[int]
+    ) -> Table7Case:
+        if c_m1 is None or c_m1 == c_m2:
+            return "same"
+        if rsm is None:
+            return "default"
+        sf_a1, sf_a2 = rsm.sf_a[c_m1], rsm.sf_a[c_m2]
+        if sf_a1 is None or sf_a2 is None:
+            return "default"
+        sf_b1, sf_b2 = rsm.sf_b[c_m1], rsm.sf_b[c_m2]
+        a_says_m2 = sf_a1 * factor < sf_a2
+        a_says_m1 = sf_a1 > sf_a2 * factor
+        b_says_m2 = sf_b1 * factor < sf_b2
+        b_says_m1 = sf_b1 > sf_b2 * factor
+        if a_says_m2 and b_says_m2:
+            return 1
+        if a_says_m1 and b_says_m1:
+            return 2
+        if (
+            case3_enabled
+            and a_says_m2
+            and b_says_m1
+            and sf_a1 * sf_b1 > sf_a2 * sf_b2 * product_factor
+        ):
+            return 3
+        return "default"
+
+    return classify
 
 
 class RSM:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.config import SystemConfig
+from repro.core.rsm import TABLE7_CASES, table7_classifier
 from repro.policies.base import AccessContext
 from repro.policies.pom import PoMPolicy
 from repro.policies.registry import register_policy
@@ -35,42 +36,23 @@ class RSMGuidedPoMPolicy(PoMPolicy):
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
-        self._profess = config.profess
-        self.case_counts = {1: 0, 2: 0, 3: 0, "default": 0, "same": 0}
+        self._table7 = table7_classifier(config.profess)
+        self.case_counts = dict.fromkeys(TABLE7_CASES, 0)
 
     def on_access(self, ctx: AccessContext) -> Optional[int]:
         decision = super().on_access(ctx)
         if ctx.in_m1:
             return decision
-        c_m1, c_m2 = ctx.m1_owner, ctx.owner
-        if c_m1 is None or c_m1 == c_m2:
-            self.case_counts["same"] += 1
-            return decision
-        rsm = getattr(self._controller, "rsm", None)
-        if rsm is None or rsm.sf_a[c_m1] is None or rsm.sf_a[c_m2] is None:
-            self.case_counts["default"] += 1
-            return decision
-        sf_a1, sf_a2 = rsm.sf_a[c_m1], rsm.sf_a[c_m2]
-        sf_b1, sf_b2 = rsm.sf_b[c_m1], rsm.sf_b[c_m2]
-        factor = self._profess.sf_factor
-        a_says_m2 = sf_a1 * factor < sf_a2
-        a_says_m1 = sf_a1 > sf_a2 * factor
-        b_says_m2 = sf_b1 * factor < sf_b2
-        b_says_m1 = sf_b1 > sf_b2 * factor
-        if a_says_m2 and b_says_m2:
+        controller = self._controller
+        case = self._table7(
+            controller.rsm if controller is not None else None,
+            ctx.m1_owner,
+            ctx.owner,
+        )
+        self.case_counts[case] += 1
+        if case == 1:
             # Aggressive help: promote now unless swaps are prohibited.
-            self.case_counts[1] += 1
             return ctx.slot if self.threshold is not None else decision
-        if a_says_m1 and b_says_m1:
-            self.case_counts[2] += 1
-            return None
-        if (
-            self._profess.case3_enabled
-            and a_says_m2
-            and b_says_m1
-            and sf_a1 * sf_b1 > sf_a2 * sf_b2 * self._profess.product_factor
-        ):
-            self.case_counts[3] += 1
-            return None
-        self.case_counts["default"] += 1
+        if case == 2 or case == 3:
+            return None  # protect the M1 resident
         return decision

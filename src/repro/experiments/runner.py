@@ -48,7 +48,6 @@ from repro.experiments.accumulators import CellMetrics
 from repro.policies.registry import canonical_policy
 from repro.sim.metrics import WorkloadMetrics
 from repro.sim.results import SimulationResult
-from repro.traces.generator import synthesize_trace
 from repro.workloads.table10 import WORKLOADS
 
 #: Default capacity divisor: 4-MB total M1 in the quad-core system,
@@ -178,17 +177,6 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Traces
     # ------------------------------------------------------------------
-    def trace_for(
-        self, program: str, instance: int = 0, requests: Optional[int] = None
-    ) -> Trace:
-        """Synthesize (or fetch memoized) one program instance's trace."""
-        return synthesize_trace(
-            program,
-            num_requests=requests or self.multi_requests,
-            scale=self.scale,
-            seed=self.seed * 1000 + instance,
-        )
-
     def workload_traces(
         self, programs: Sequence[str], requests: Optional[int] = None
     ) -> list[tuple[str, Trace]]:

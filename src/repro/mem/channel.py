@@ -595,8 +595,3 @@ class Channel:
         if on_complete is not None:
             self._events.schedule(end, on_complete)
         return end
-
-    @property
-    def blocked_until(self) -> int:
-        """Cycle until which the channel is blocked by a swap."""
-        return self._blocked_until

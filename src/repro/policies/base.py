@@ -93,11 +93,6 @@ class MigrationPolicy(ABC):
         self.config = config
         self._controller = None
 
-    @property
-    def slow_swaps(self) -> bool:
-        """Back-compat view of :attr:`swap_style` (Table 1's slow type)."""
-        return self.swap_style == "slow"
-
     def bind(self, controller) -> None:
         """Attach the memory controller (owner lookups, RSM, clock).
 

@@ -13,10 +13,10 @@ an explicit, sweepable coordinate instead of a hard-coded name:
   from the seeded ``migration-bypass`` substream (a probabilistic
   hedge against pathological swap storms).
 * **stc_replacement** — replacement policy of the Swap-group Table
-  Cache (:data:`repro.common.config.STC_REPLACEMENTS`).
+  Cache (:data:`repro.cache.sets.REPLACEMENT_POLICIES`).
 
-A :class:`PolicySpec` is the frozen, hashable value of those axes.  The
-text form composes with ``+``::
+A :class:`PolicySpec` is the frozen, hashable value of those axes, and
+the only place an axis is set.  The text form composes with ``+``::
 
     mdm+rsm+bypass:0.05+stc:lfu
 
@@ -35,16 +35,12 @@ spellings of one composition share a single cached result.
 from __future__ import annotations
 
 import importlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.common.config import (
-    STC_REPLACEMENTS,
-    SWAP_STYLES,
-    SystemConfig,
-)
+from repro.cache.sets import REPLACEMENT_POLICIES
+from repro.common.config import SWAP_STYLES, SystemConfig
 from repro.common.errors import PolicySpecError, UnknownPolicyError
-from repro.common.serialize import canonical_digest
 
 if TYPE_CHECKING:
     from repro.policies.base import MigrationPolicy
@@ -55,9 +51,8 @@ class PolicySpec:
     """One point in the policy composition space (frozen, hashable).
 
     Axis defaults mean "inherit": an empty ``swap_style`` /
-    ``stc_replacement`` resolves through :class:`~repro.common.config.
-    PolicyAxesConfig` to the policy class's own default, and a zero
-    ``bypass_rate`` disables the probabilistic bypass.
+    ``stc_replacement`` resolves to the policy class's own default, and
+    a zero ``bypass_rate`` disables the probabilistic bypass.
     """
 
     #: Base migration algorithm (a non-guided registered name).
@@ -68,7 +63,7 @@ class PolicySpec:
     swap_style: str = ""
     #: Probability of dropping a decided promotion (0 = off).
     bypass_rate: float = 0.0
-    #: "" = inherit; otherwise one of :data:`STC_REPLACEMENTS`.
+    #: "" = inherit; otherwise one of :data:`REPLACEMENT_POLICIES`.
     stc_replacement: str = ""
 
     def __post_init__(self) -> None:
@@ -87,10 +82,10 @@ class PolicySpec:
             )
         if (
             self.stc_replacement
-            and self.stc_replacement not in STC_REPLACEMENTS
+            and self.stc_replacement not in REPLACEMENT_POLICIES
         ):
             raise PolicySpecError(
-                f"stc_replacement must be one of {STC_REPLACEMENTS}, "
+                f"stc_replacement must be one of {REPLACEMENT_POLICIES}, "
                 f"got {self.stc_replacement!r}"
             )
 
@@ -177,28 +172,6 @@ class PolicySpec:
             parts.append(f"stc:{self.stc_replacement}")
         return "+".join(parts)
 
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (JSON-ready)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "PolicySpec":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise PolicySpecError(
-                f"unknown PolicySpec fields {unknown}; known: {sorted(known)}"
-            )
-        return cls(**payload)  # type: ignore[arg-type]
-
-    def cache_token(self) -> str:
-        """Stable content hash of the spec (axis values only)."""
-        return canonical_digest(self)
-
 
 @dataclass(frozen=True)
 class RegisteredPolicy:
@@ -218,17 +191,20 @@ _REGISTRY: Dict[str, RegisteredPolicy] = {}
 _BY_AXES: Dict[Tuple[str, bool], RegisteredPolicy] = {}
 _LOADED = False
 
-#: Modules whose import populates the registry, in registration order.
+#: Modules whose import populates the registry.  Their order is the
+#: listing order of :func:`iter_registered`, whatever a process happens
+#: to import first.
 _POLICY_MODULES = (
+    "repro.core.mdm",
+    "repro.core.profess",
     "repro.policies.static",
     "repro.policies.cameo",
     "repro.policies.pom",
     "repro.policies.silcfm",
     "repro.policies.mempod",
-    "repro.core.mdm",
-    "repro.core.profess",
     "repro.core.rsm_guided",
 )
+_MODULE_RANK = {module: rank for rank, module in enumerate(_POLICY_MODULES)}
 
 
 def register_policy(
@@ -278,9 +254,16 @@ def _ensure_loaded() -> None:
 
 
 def iter_registered() -> Iterator[RegisteredPolicy]:
-    """Registered policies, in registration order."""
+    """Registered policies in :data:`_POLICY_MODULES` order; classes
+    defined elsewhere follow, in registration order."""
     _ensure_loaded()
-    return iter(list(_REGISTRY.values()))
+    last = len(_POLICY_MODULES)
+    return iter(
+        sorted(
+            _REGISTRY.values(),
+            key=lambda entry: _MODULE_RANK.get(entry.cls.__module__, last),
+        )
+    )
 
 
 def registry_names() -> List[str]:
@@ -320,12 +303,11 @@ def build_policy(
 ) -> "MigrationPolicy":
     """Construct the policy a spec describes, with axes resolved.
 
-    Axis resolution order (most specific wins): the spec's explicit
-    value, then the config-level default (``config.axes``), then the
-    policy class's own default.  The returned instance carries the
-    resolved ``swap_style`` / ``bypass_rate`` / ``stc_replacement``
-    attributes (read by the memory controller) and its ``name`` is the
-    spec's canonical string, so results label themselves unambiguously.
+    Each axis takes the spec's explicit value, else the policy class's
+    own default.  The returned instance carries the resolved
+    ``swap_style`` / ``bypass_rate`` / ``stc_replacement`` attributes
+    (read by the memory controller) and its ``name`` is the spec's
+    canonical string, so results label themselves unambiguously.
 
     Extra keyword arguments pass through to the class constructor
     (e.g. ``build_policy("mdm", config, record_predictions=True)``).
@@ -341,17 +323,10 @@ def build_policy(
             )
         raise UnknownPolicyError(spec.base, registry_names())
     policy = entry.cls(config, **kwargs)
-    axes = config.axes
-    policy.swap_style = (
-        spec.swap_style or axes.swap_style or type(policy).swap_style
-    )
-    policy.bypass_rate = (
-        spec.bypass_rate if spec.bypass_rate > 0.0 else axes.bypass_rate
-    )
+    policy.swap_style = spec.swap_style or type(policy).swap_style
+    policy.bypass_rate = spec.bypass_rate or type(policy).bypass_rate
     policy.stc_replacement = (
-        spec.stc_replacement
-        or axes.stc_replacement
-        or type(policy).stc_replacement
+        spec.stc_replacement or type(policy).stc_replacement
     )
     policy.name = spec.canonical()
     return policy

@@ -188,6 +188,8 @@ class ChaseComponent(PatternComponent):
         super().__init__(start_line, num_lines, write_fraction)
         if window_blocks < 1:
             raise TraceError("window_blocks must be >= 1")
+        if episode_length < 1:
+            raise TraceError("episode_length must be >= 1")
         self.window_blocks = min(window_blocks, self.num_blocks)
         self.jump_probability = jump_probability
         self.episode_length = episode_length

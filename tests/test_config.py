@@ -15,7 +15,6 @@ from repro.common.config import (
     SystemConfig,
     paper_quad_core,
     paper_single_core,
-    with_overrides,
 )
 from repro.common.errors import ConfigError
 from repro.common.units import KB, MB
@@ -140,14 +139,14 @@ class TestPresets:
         assert cfg.rsm.m_samp == 9999
 
     def test_with_overrides(self):
-        cfg = with_overrides(paper_quad_core(scale=64), frfcfs_cap=2)
+        cfg = dataclasses.replace(paper_quad_core(scale=64), frfcfs_cap=2)
         assert cfg.frfcfs_cap == 2
 
     def test_rejects_frfcfs_cap_below_one(self):
         # Rejected where the config is built, before any cache token is
         # minted or a channel is constructed.
         with pytest.raises(ConfigError, match="frfcfs_cap"):
-            with_overrides(paper_quad_core(scale=64), frfcfs_cap=0)
+            dataclasses.replace(paper_quad_core(scale=64), frfcfs_cap=0)
 
     def test_configs_are_frozen(self):
         cfg = paper_quad_core(scale=64)
@@ -225,8 +224,8 @@ class TestTokenMemo:
         changed = dataclasses.replace(config, frfcfs_cap=config.frfcfs_cap + 1)
         assert "_cache_token" not in vars(changed)
         assert changed.cache_token() != token
-        assert with_overrides(config).cache_token() == token
-        assert "_cache_token" not in vars(with_overrides(config))
+        assert dataclasses.replace(config).cache_token() == token
+        assert "_cache_token" not in vars(dataclasses.replace(config))
 
     def test_memo_leaves_equality_hash_and_repr_unchanged(self):
         memoized, plain = paper_quad_core(scale=64), paper_quad_core(scale=64)

@@ -1,9 +1,11 @@
 """Hybrid memory controller integration tests."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import paper_quad_core, with_overrides, STCConfig
+from repro.common.config import paper_quad_core, STCConfig
 from repro.common.events import EventQueue
 from repro.hybrid.memory import HybridMemoryController
 from repro.policies.registry import build_policy
@@ -46,7 +48,7 @@ class RecordingPolicy(MigrationPolicy):
 def small_stc(ways):
     """A config whose STC is one set of ``ways`` entries, so any other
     group's fill can evict."""
-    return with_overrides(
+    return replace(
         CONFIG, stc=STCConfig(capacity=8 * ways, associativity=ways)
     )
 
@@ -303,7 +305,7 @@ class TestSwaps:
 
 class TestEvictionsAndFinalize:
     def test_eviction_callback_reaches_policy(self):
-        tiny_stc = with_overrides(CONFIG, stc=STCConfig(capacity=512))
+        tiny_stc = replace(CONFIG, stc=STCConfig(capacity=512))
         policy = PromoteAlways(tiny_stc)
         events, controller = make_controller(policy, tiny_stc)
         # Touch more groups than the STC holds (64 entries).
@@ -322,7 +324,7 @@ class TestEvictionsAndFinalize:
         assert controller.stc.peek(2) is None
 
     def test_st_writeback_on_touched_eviction(self):
-        tiny_stc = with_overrides(CONFIG, stc=STCConfig(capacity=512))
+        tiny_stc = replace(CONFIG, stc=STCConfig(capacity=512))
         events, controller = make_controller(config=tiny_stc)
         for group in range(0, 200):
             controller.access(0, line_of(controller, group, 1), False)

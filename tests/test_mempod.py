@@ -1,6 +1,8 @@
 """MemPod policy tests: MEA tracking and interval-batched migrations."""
 
-from repro.common.config import MemPodConfig, paper_quad_core, with_overrides
+from dataclasses import replace
+
+from repro.common.config import MemPodConfig, paper_quad_core
 from repro.common.events import EventQueue
 from repro.hybrid.memory import HybridMemoryController
 from repro.policies.mempod import MEATracker, MemPodPolicy
@@ -51,7 +53,7 @@ class TestMemPodPolicy:
     def _driver(self, mempod_cfg=None):
         cfg = CONFIG
         if mempod_cfg is not None:
-            cfg = with_overrides(CONFIG, mempod=mempod_cfg)
+            cfg = replace(CONFIG, mempod=mempod_cfg)
         events = EventQueue()
         policy = MemPodPolicy(cfg)
         controller = HybridMemoryController(cfg, events, policy)

@@ -112,6 +112,13 @@ class TestHotSet:
             line, _ = step()
             assert 320 <= line < 320 + 10 * LINES_PER_BLOCK
 
+    @pytest.mark.parametrize("episode_length", [0, 0.5])
+    def test_rejects_short_episodes(self, episode_length):
+        with pytest.raises(TraceError, match="episode_length"):
+            HotSetComponent(
+                0, 64 * LINES_PER_BLOCK, 0.0, episode_length=episode_length
+            )
+
 
 class TestHotSetTail:
     """The Zipf CDF ends at exactly 1.0, so no draw picks a block past
@@ -210,3 +217,12 @@ class TestChase:
         for _ in range(1000):
             line, _ = step()
             assert 128 <= line < 128 + 20 * LINES_PER_BLOCK
+
+    @pytest.mark.parametrize(
+        "walk_parameter",
+        [{"episode_length": 0}, {"episode_length": 0.5}, {"window_blocks": 0}],
+        ids=["no-episode", "fractional-episode", "no-window"],
+    )
+    def test_rejects_degenerate_walks(self, walk_parameter):
+        with pytest.raises(TraceError):
+            ChaseComponent(0, 64 * LINES_PER_BLOCK, 0.0, **walk_parameter)

@@ -2,10 +2,11 @@
 
 Covers the full redesigned surface (repro.policies.registry):
 
-* ``PolicySpec`` parsing, canonicalization, serialization round-trips,
-  and the error taxonomy (``PolicySpecError`` / ``UnknownPolicyError``);
+* ``PolicySpec`` parsing, canonicalization, and the error taxonomy
+  (``PolicySpecError`` / ``UnknownPolicyError``);
 * registry completeness — every registered policy constructible under
-  the default ``SystemConfig`` with axes resolved;
+  the default ``SystemConfig`` with axes resolved, listed in one order
+  whatever a process imports first;
 * axis semantics end-to-end (``noswap`` suppresses migration traffic,
   ``bypass`` probabilistically drops promotions, STC replacement wires
   through to the array);
@@ -14,28 +15,29 @@ Covers the full redesigned surface (repro.policies.registry):
   equivalent spec spellings collapse to one key;
 * the package surface (no class re-exports; defining modules import
   silently);
-* the CLI (``--policy`` validation exits 2, ``profess policies``);
+* the CLI (``--policy`` validation exits 2, ``profess policies`` and
+  the README tables it generates);
 * serial/parallel byte-identity of the ``ext-policy-matrix`` sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cache.sets import REPLACEMENT_POLICIES
 from repro.common.config import (
-    STC_REPLACEMENTS,
     SWAP_STYLES,
-    PolicyAxesConfig,
     paper_quad_core,
     paper_single_core,
 )
-from repro.common.errors import (
-    ConfigError,
-    PolicySpecError,
-    UnknownPolicyError,
-)
+from repro.common.errors import PolicySpecError, UnknownPolicyError
 from repro.exec.executor import execute_spec
 from repro.exec.spec import RunSpec
 from repro.policies.registry import (
@@ -50,8 +52,8 @@ from repro.policies.registry import (
 CONFIG = paper_quad_core(scale=64)
 
 #: Pre-redesign regression constants, computed on the commit before the
-#: registry landed.  They pin the promise that adding the ``axes`` field
-#: and policy canonicalization did NOT invalidate existing disk caches.
+#: registry landed.  They pin the promise that policy canonicalization
+#: did NOT invalidate existing disk caches.
 QUAD64_TOKEN = "7893fd1f5674002209965556632541ae1b4d218bad11d167cdcf90d3c54e9913"
 SINGLE64_TOKEN = "75b3e0f22931d9553a48ca12b5c354785ebd2f85714cea8d5c474a9348282c7e"
 MDM_MULTI_KEY = "8ae98a4fa4dd86827b22b98dc3351db4222a11707db82115a41db1556dd55f20"
@@ -143,21 +145,8 @@ class TestCanonicalization:
 
 
 class TestSerialization:
-    def test_dict_round_trip_preserves_cache_token(self):
-        spec = PolicySpec.parse("mdm+rsm+swap:smart+bypass:0.05+stc:lfu")
-        again = PolicySpec.from_dict(spec.to_dict())
-        assert again == spec
-        assert again.cache_token() == spec.cache_token()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(PolicySpecError):
-            PolicySpec.from_dict({"base": "mdm", "turbo": True})
-
-    def test_token_distinguishes_axes(self):
-        assert (
-            PolicySpec.parse("mdm").cache_token()
-            != PolicySpec.parse("mdm+stc:lfu").cache_token()
-        )
+    """A spec serializes as its canonical text (TestCanonicalization
+    round-trips it); as a value it is hashable."""
 
     def test_spec_is_hashable(self):
         assert len({PolicySpec.parse("mdm"), PolicySpec.parse("mdm")}) == 1
@@ -170,7 +159,7 @@ class TestRegistryCompleteness:
             assert isinstance(policy, entry.cls)
             assert policy.name == entry.name
             assert policy.swap_style in SWAP_STYLES
-            assert policy.stc_replacement in STC_REPLACEMENTS
+            assert policy.stc_replacement in REPLACEMENT_POLICIES
             assert 0.0 <= policy.bypass_rate < 1.0
             assert entry.description  # docstring first line captured
 
@@ -193,34 +182,72 @@ class TestRegistryCompleteness:
         assert policy.prediction_log is not None
 
 
+#: The registry's listing order (README tables, ext-policy-matrix rows).
+REGISTRY_ORDER = [
+    "mdm", "profess", "static", "cameo", "pom", "silcfm", "mempod", "rsm-pom",
+]
+#: Modules that register policies; each is imported first in turn.
+POLICY_MODULES = [
+    "repro.core.mdm",
+    "repro.core.profess",
+    "repro.core.rsm_guided",
+    "repro.policies.cameo",
+    "repro.policies.mempod",
+    "repro.policies.pom",
+    "repro.policies.silcfm",
+    "repro.policies.static",
+]
+_LIST_ORDER = """
+import {first}
+from repro.experiments.extensions import decomposition_policies
+from repro.policies.registry import iter_registered
+print(" ".join(entry.name for entry in iter_registered()))
+print(" ".join(decomposition_policies()))
+"""
+
+
+def _orders_after_importing(first: str) -> list[str]:
+    """Registry and decomposition orders in a fresh interpreter that
+    imports ``first`` before anything else."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _LIST_ORDER.format(first=first)],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.stdout.splitlines()
+
+
+class TestRegistryOrder:
+    def test_order_is_independent_of_import_order(self):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            orders = pool.map(_orders_after_importing, POLICY_MODULES)
+            listings = dict(zip(POLICY_MODULES, orders))
+        expected = [" ".join(REGISTRY_ORDER), "mdm profess rsm-pom"]
+        assert listings == dict.fromkeys(POLICY_MODULES, expected)
+
+
 class TestAxisResolution:
-    def test_spec_beats_config_beats_class(self):
-        config = replace(
-            CONFIG,
-            axes=PolicyAxesConfig(swap_style="slow", stc_replacement="fifo"),
-        )
-        explicit = build_policy("mdm+swap:fast+stc:lfu", config)
+    def test_spec_beats_class_default(self):
+        explicit = build_policy("silcfm+swap:fast+bypass:0.1+stc:lfu", CONFIG)
         assert explicit.swap_style == "fast"
+        assert explicit.bypass_rate == 0.1
         assert explicit.stc_replacement == "lfu"
-        inherited = build_policy("mdm", config)
-        assert inherited.swap_style == "slow"
-        assert inherited.stc_replacement == "fifo"
 
     def test_class_default_when_nothing_set(self):
         silcfm = build_policy("silcfm", CONFIG)
         assert silcfm.swap_style == "slow"
-        assert silcfm.slow_swaps  # back-compat property view
         mdm = build_policy("mdm", CONFIG)
         assert mdm.swap_style == "fast"
-        assert not mdm.slow_swaps
-
-    def test_axes_config_validates(self):
-        with pytest.raises(ConfigError):
-            PolicyAxesConfig(swap_style="warp")
-        with pytest.raises(ConfigError):
-            PolicyAxesConfig(stc_replacement="plru")
-        with pytest.raises(ConfigError):
-            PolicyAxesConfig(bypass_rate=1.5)
+        assert mdm.bypass_rate == 0.0
+        assert mdm.stc_replacement == "lru"
 
 
 def _run(policy: str, requests: int = 400) -> object:
@@ -275,8 +302,18 @@ class TestCacheKeyCompatibility:
         assert paper_single_core(scale=64).cache_token() == SINGLE64_TOKEN
 
     def test_non_default_axes_changes_token(self):
-        config = replace(CONFIG, axes=PolicyAxesConfig(swap_style="slow"))
-        assert config.cache_token() != QUAD64_TOKEN
+        # Axes live only in the spec; they reach the key through the
+        # canonical policy string.
+        spec = RunSpec(
+            kind="single",
+            programs=("zeusmp",),
+            policy="profess+swap:slow",
+            config=paper_single_core(scale=64),
+            requests=60_000,
+            seed=0,
+            trace_scale=64,
+        )
+        assert spec.cache_key() != PROFESS_SINGLE_KEY
 
     def test_pinned_run_spec_keys(self):
         mdm = RunSpec(
@@ -377,6 +414,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "| `profess` | mdm | RSM |" in out
         assert "| `+stc:POLICY` |" in out
+
+    def test_readme_tables_are_the_markdown_listing(self, capsys):
+        from repro import cli
+
+        assert cli.main(["policies", "--markdown"]) == 0
+        out = capsys.readouterr().out
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        _, marker, rest = readme.read_text(encoding="utf-8").partition(
+            "generated by `profess policies --markdown`:\n\n"
+        )
+        assert marker
+        tables = []
+        for line in rest.splitlines(keepends=True):
+            if line.strip() and not line.startswith("|"):
+                break
+            tables.append(line)
+        assert "".join(tables).rstrip("\n") == out.rstrip("\n")
 
 
 class TestMatrixSerialParallelIdentity:

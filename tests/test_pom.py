@@ -1,10 +1,11 @@
 """PoM policy tests: competing counters, epochs, prohibit mode."""
 
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.stc import STCEntry
-from repro.common.config import PoMConfig, paper_quad_core, with_overrides
+from repro.common.config import PoMConfig, paper_quad_core
 from repro.hybrid.st_entry import STEntry
 from repro.policies.base import AccessContext
 from repro.policies.pom import CompetingCounter, PoMPolicy
@@ -125,7 +126,7 @@ class TestInlineCounter:
     def test_lockstep_with_competing_counter(
         self, counter_max, write_weight, threshold, accesses
     ):
-        cfg = with_overrides(
+        cfg = replace(
             CONFIG,
             write_access_weight=write_weight,
             pom=PoMConfig(counter_max=counter_max, epoch_requests=10**9),
@@ -163,7 +164,7 @@ class TestInlineCounter:
 
 class TestEpochs:
     def test_epoch_rolls_after_configured_requests(self):
-        cfg = with_overrides(CONFIG, pom=PoMConfig(epoch_requests=10))
+        cfg = replace(CONFIG, pom=PoMConfig(epoch_requests=10))
         policy = PoMPolicy(cfg)
         for _ in range(10):
             policy.on_access(make_ctx())
@@ -171,7 +172,7 @@ class TestEpochs:
         assert len(policy.threshold_history) == 1
 
     def test_no_benefit_prohibits(self):
-        cfg = with_overrides(CONFIG, pom=PoMConfig(epoch_requests=50))
+        cfg = replace(CONFIG, pom=PoMConfig(epoch_requests=50))
         policy = PoMPolicy(cfg)
         # Sampled group 0: single-touch M2 accesses to distinct slots;
         # shadow promotions never pay off.
@@ -182,7 +183,7 @@ class TestEpochs:
         assert policy.prohibited_epochs == 1
 
     def test_hot_block_benefit_selects_low_threshold(self):
-        cfg = with_overrides(CONFIG, pom=PoMConfig(epoch_requests=64))
+        cfg = replace(CONFIG, pom=PoMConfig(epoch_requests=64))
         policy = PoMPolicy(cfg)
         # Sampled group 0: hammer one M2 block; promoting early pays.
         for _ in range(64):
@@ -190,7 +191,7 @@ class TestEpochs:
         assert policy.threshold == 1
 
     def test_shadow_state_cleared_between_epochs(self):
-        cfg = with_overrides(CONFIG, pom=PoMConfig(epoch_requests=8))
+        cfg = replace(CONFIG, pom=PoMConfig(epoch_requests=8))
         policy = PoMPolicy(cfg)
         for _ in range(8):
             policy.on_access(make_ctx(group=0, slot=3, location=3))

@@ -89,11 +89,14 @@ class TestAllocator:
             assert alloc.owner_of_block(block) == 2
 
     def test_unallocated_is_none(self, setup):
-        _amap, _regions, alloc = setup
-        assert alloc.owner_of_frame(0) is None or True  # frame 0 may be free
-        # A frame we know is free: allocate nothing, check any.
-        fresh = OSAllocator(*_fresh(setup))
-        assert fresh.owner_of_frame(123) is None
+        amap, _regions, alloc = setup
+        frames = alloc.allocate(1, 10)
+        assert [alloc.owner_of_frame(frame) for frame in frames] == [1] * 10
+        taken = set(frames)
+        unallocated = [
+            frame for frame in range(amap.total_pages) if frame not in taken
+        ]
+        assert all(alloc.owner_of_frame(frame) is None for frame in unallocated)
 
     def test_release_returns_frames(self, setup):
         amap, _regions, alloc = setup
@@ -132,11 +135,6 @@ class TestAllocator:
         frames = alloc.allocate(0, 2000)
         segments = {amap.segment_of_page(f) for f in frames}
         assert segments == set(range(amap.group_size))
-
-
-def _fresh(setup):
-    amap, regions, _alloc = setup
-    return amap, regions, make_rng(1, "fresh")
 
 
 class TestPageTable:

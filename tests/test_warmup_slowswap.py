@@ -81,9 +81,9 @@ class TestSlowSwaps:
         assert controller.channels[1].stats.swaps == 2
 
     def test_slow_swap_flag_values(self):
-        assert build_policy("silcfm", QUAD).slow_swaps
-        assert not build_policy("pom", QUAD).slow_swaps
-        assert not build_policy("mdm", QUAD).slow_swaps
+        assert build_policy("silcfm", QUAD).swap_style == "slow"
+        assert build_policy("pom", QUAD).swap_style != "slow"
+        assert build_policy("mdm", QUAD).swap_style != "slow"
 
 
 class TestRefreshEnergy:
