@@ -29,11 +29,11 @@ from repro.experiments.runner import (
 )
 
 
-def _job_count(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return jobs
+    return number
 
 
 def _cache_dir(value: str) -> Path:
@@ -45,11 +45,11 @@ def _cache_dir(value: str) -> Path:
     return path
 
 
-def _retry_count(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
-    return retries
+    return number
 
 
 def _timeout_seconds(value: str) -> float:
@@ -63,7 +63,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every simulating subcommand."""
     parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_positive_int,
         default=1,
         help="worker processes for independent runs (1 = in-process serial)",
     )
@@ -76,7 +76,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=_retry_count,
+        type=_non_negative_int,
         default=1,
         metavar="N",
         help="re-attempts per run for transient failures (worker death, "
@@ -156,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--requests",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MULTI_REQUESTS,
         help="trace length per program (multiprogram runs)",
     )
     run_parser.add_argument(
         "--single-requests",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_SINGLE_REQUESTS,
         help="trace length per program (single-program runs)",
     )
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--validate-every",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="audit all simulator invariants (sim.validation) every N "
@@ -205,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=DEFAULT_SCALE
     )
     report_parser.add_argument(
-        "--requests", type=int, default=DEFAULT_MULTI_REQUESTS
+        "--requests", type=_positive_int, default=DEFAULT_MULTI_REQUESTS
     )
     report_parser.add_argument(
-        "--single-requests", type=int, default=DEFAULT_SINGLE_REQUESTS
+        "--single-requests",
+        type=_positive_int,
+        default=DEFAULT_SINGLE_REQUESTS,
     )
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument(
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_positive_int,
         default=1,
         help="worker processes for --sweep (1 = in-process serial)",
     )
@@ -451,6 +453,7 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
 
 def _run(args: argparse.Namespace) -> int:
     from repro.common.errors import (
+        ConfigError,
         InvalidValueError,
         PolicySpecError,
         UnknownPolicyError,
@@ -495,9 +498,16 @@ def _run(args: argparse.Namespace) -> int:
         try:
             result = run_experiment(experiment_id, runner)
         except SweepFailure as error:
-            print(f"[{experiment_id} aborted: fail-fast]", file=sys.stderr)
+            # The strict single-run path raises too, without --fail-fast.
+            reason = "aborted: fail-fast" if args.fail_fast else "aborted"
+            print(f"[{experiment_id} {reason}]", file=sys.stderr)
             print(format_failure_table(error.failures), file=sys.stderr)
             return 1
+        except ConfigError as error:
+            # The figure's config is built lazily, on first use; that is
+            # where e.g. an unsupported --scale is caught.
+            print(f"profess run: {error}", file=sys.stderr)
+            return 2
         report = result.render()
         elapsed = time.time() - started
         print(report)
@@ -534,7 +544,7 @@ def _report(args: argparse.Namespace) -> int:
         format_run_stats,
         generate_experiments_md,
     )
-    from repro.common.errors import InvalidValueError
+    from repro.common.errors import ConfigError, InvalidValueError
     from repro.experiments.store import ResultStore
 
     try:
@@ -544,7 +554,11 @@ def _report(args: argparse.Namespace) -> int:
         return 2
     store = ResultStore(args.store) if args.store is not None else None
     started = time.time()
-    generate_experiments_md(runner, args.output, store=store)
+    try:
+        generate_experiments_md(runner, args.output, store=store)
+    except ConfigError as error:
+        print(f"profess report: {error}", file=sys.stderr)
+        return 2
     print(f"wrote {args.output} in {time.time() - started:.0f}s")
     if args.verbose:
         print(format_run_stats(runner))
@@ -796,7 +810,7 @@ def _lint(args: argparse.Namespace) -> int:
         print(json.dumps(render_sarif(findings), indent=2))
     else:
         for finding in findings:
-            print(finding.render_trace())
+            print(finding.render())
         if findings:
             counts: dict[str, int] = {}
             for finding in findings:

@@ -11,7 +11,7 @@ results across processes, CLI invocations, and machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from repro.common.config import SystemConfig
@@ -55,11 +55,11 @@ class RunSpec:
     #: and cached results are served without re-simulation.
     validate_every: int = 0
 
-    #: Reviewed record of every field :meth:`cache_key` excludes from the
-    #: content hash (lint rule K401 enforces it; K402 flags stale
-    #: entries).  ``validate_every`` only toggles in-run invariant
-    #: auditing — a validated result is byte-identical to an unvalidated
-    #: one — so serving either from cache is sound.  See DESIGN.md §16.
+    #: The only fields :meth:`cache_key` leaves out of the content hash;
+    #: every other dataclass field is keyed, including any added later.
+    #: ``validate_every`` only toggles in-run invariant auditing — a
+    #: validated result is byte-identical to an unvalidated one — so
+    #: serving either from cache is sound.  See DESIGN.md §16.
     _CACHE_NEUTRAL_FIELDS = ("validate_every",)
 
     def __post_init__(self) -> None:
@@ -77,9 +77,13 @@ class RunSpec:
     def cache_key(self) -> str:
         """Stable content hash identifying this run's result.
 
-        Any field change — a program, the policy, one config value, the
-        trace length, a seed, the diagnostics flag — yields a new key;
-        re-creating an identical spec always yields the same key.
+        The digest walks every dataclass field except those named in
+        ``_CACHE_NEUTRAL_FIELDS``, with the config's own token standing
+        in for the config.  So any keyed field change — a program, the
+        policy, one config value, the trace length, a seed, the
+        diagnostics flag — yields a new key, a field added later is keyed
+        without further edits, and re-creating an identical spec always
+        yields the same key.
 
         The digest is computed once per instance and memoized on it (the
         spec and its nested config are frozen, so it cannot go stale).
@@ -89,18 +93,13 @@ class RunSpec:
         memo = self.__dict__.get("_cache_key")
         if memo is not None:
             return memo
-        key = canonical_digest(
-            {
-                "kind": self.kind,
-                "programs": list(self.programs),
-                "policy": self.policy,
-                "config": self.config.cache_token(),
-                "requests": self.requests,
-                "seed": self.seed,
-                "trace_scale": self.trace_scale,
-                "track_rsm_regions": self.track_rsm_regions,
-            }
-        )
+        payload = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in self._CACHE_NEUTRAL_FIELDS
+        }
+        payload["config"] = self.config.cache_token()
+        key = canonical_digest(payload)
         object.__setattr__(self, "_cache_key", key)
         return key
 

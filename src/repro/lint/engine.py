@@ -37,24 +37,13 @@ class LintError(ReproError):
 
 
 @dataclass(frozen=True, slots=True)
-class TraceStep:
-    """One hop of a finding's evidence chain (e.g. declaration →
-    exclusion → read site for K401)."""
-
-    path: str
-    line: int
-    note: str
-
-
-@dataclass(frozen=True, slots=True)
 class Finding:
     """One rule violation at one source location.
 
     ``end_line`` is the last line of the offending statement (0 when
     unknown); a ``# repro: noqa`` anywhere on the statement's lines
     suppresses the finding, so multi-line statements can carry the
-    comment on any of their physical lines.  ``trace`` carries the
-    evidence chain of the whole-project cache-key rules (K401/K403).
+    comment on any of their physical lines.
     """
 
     rule: str
@@ -63,34 +52,20 @@ class Finding:
     col: int
     message: str
     end_line: int = 0
-    trace: tuple[TraceStep, ...] = ()
 
     def render(self) -> str:
         """The one-line human-readable form."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def render_trace(self) -> str:
-        """The multi-line form: the finding plus its evidence chain."""
-        lines = [self.render()]
-        for step in self.trace:
-            lines.append(f"    {step.path}:{step.line}: {step.note}")
-        return "\n".join(lines)
-
     def to_dict(self) -> dict[str, object]:
         """The machine-readable (``--format=json``) form."""
-        payload: dict[str, object] = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
         }
-        if self.trace:
-            payload["trace"] = [
-                {"path": s.path, "line": s.line, "note": s.note}
-                for s in self.trace
-            ]
-        return payload
 
 
 @dataclass(slots=True)
@@ -99,7 +74,6 @@ class ClassInfo:
 
     module: str
     qualname: str
-    lineno: int
     #: Base-class expressions resolved to dotted names where possible.
     bases: tuple[str, ...]
     #: Explicit ``__slots__`` names, or dataclass field names under
@@ -109,13 +83,6 @@ class ClassInfo:
     #: a slots dataclass); False when ``__slots__`` exists but could not
     #: be parsed statically.
     slots_exact: bool
-    #: Dataclass-style annotated fields: name -> resolved annotation
-    #: dotted name (None when the annotation is not a plain name chain).
-    #: Empty for classes with no annotated assignments.
-    fields: dict[str, Optional[str]] = field(default_factory=dict)
-    #: The class definition node (for whole-project passes that need to
-    #: inspect method bodies, e.g. the K4xx cache-key analysis).
-    node: Optional[ast.ClassDef] = None
 
     @property
     def qualified(self) -> str:
@@ -135,9 +102,6 @@ class ModuleInfo:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: Qualified names of every function/method defined in the module.
     functions: set[str] = field(default_factory=set)
-    #: Qualified name -> definition node for every function/method (the
-    #: call graph K403 walks from the cache-key methods).
-    function_nodes: dict[str, ast.FunctionDef] = field(default_factory=dict)
 
 
 class ProjectIndex:
@@ -301,40 +265,6 @@ def _dataclass_field_names(node: ast.ClassDef) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _annotated_fields(
-    node: ast.ClassDef, module: ModuleInfo
-) -> dict[str, Optional[str]]:
-    """Annotated class-body assignments: name -> resolved annotation.
-
-    ``ClassVar`` annotations are skipped — they are class constants, not
-    dataclass fields, so the K4xx field walk must not count them.
-    """
-    fields: dict[str, Optional[str]] = {}
-    for statement in node.body:
-        if not (
-            isinstance(statement, ast.AnnAssign)
-            and isinstance(statement.target, ast.Name)
-        ):
-            continue
-        annotation = statement.annotation
-        dotted = _dotted(annotation)
-        if dotted is not None and dotted.rsplit(".", 1)[-1] == "ClassVar":
-            continue
-        if (
-            isinstance(annotation, ast.Subscript)
-            and (_dotted(annotation.value) or "").rsplit(".", 1)[-1]
-            == "ClassVar"
-        ):
-            continue
-        resolved = (
-            resolve_dotted(module, annotation)
-            if isinstance(annotation, (ast.Name, ast.Attribute))
-            else None
-        )
-        fields[statement.target.id] = resolved
-    return fields
-
-
 def _collect_classes(module: ModuleInfo) -> None:
     """Record every class (and function qualname) defined in the module."""
 
@@ -371,19 +301,14 @@ def _collect_classes(module: ModuleInfo) -> None:
                 module.classes[qualname] = ClassInfo(
                     module=module.module,
                     qualname=qualname,
-                    lineno=node.lineno,
                     bases=tuple(bases),
                     slots=slots,
                     slots_exact=exact,
-                    fields=_annotated_fields(node, module),
-                    node=node,
                 )
                 visit(node.body, f"{qualname}.")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualified = f"{module.module}.{prefix}{node.name}"
                 module.functions.add(qualified)
-                if isinstance(node, ast.FunctionDef):
-                    module.function_nodes[qualified] = node
                 visit(node.body, f"{prefix}{node.name}.")
 
     visit(module.tree.body, "")
@@ -630,7 +555,6 @@ def lint_sources(
     show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint in-memory sources: ``{module: (display_path, source)}``."""
-    from repro.lint.keys import check_keys
     from repro.lint.rules import check_manifest, check_module
 
     select_rules = _parse_rule_list(select)
@@ -673,9 +597,6 @@ def lint_sources(
     raw.extend(
         check_manifest(index, hot_classes, hot_functions | batch_functions)
     )
-    # Cache-key soundness (K4xx) is a whole-project pass: it needs the
-    # complete index.
-    raw.extend(check_keys(index))
 
     # Apply suppressions uniformly, by finding path, then report stale
     # comments (W001) — those never self-suppress.
@@ -757,54 +678,29 @@ _SARIF_SCHEMA = (
 )
 
 
-def _sarif_location(path: str, line: int, col: int) -> dict[str, object]:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path},
-            "region": {"startLine": line, "startColumn": max(col, 1)},
-        }
-    }
-
-
 def render_sarif(findings: Sequence[Finding]) -> dict[str, object]:
-    """SARIF 2.1.0 payload for ``profess lint --format sarif``.
-
-    Finding traces (K401/K403) render as SARIF code flows, so GitHub
-    code scanning shows the evidence chain inline.
-    """
+    """SARIF 2.1.0 payload for ``profess lint --format sarif``."""
     from repro.lint.rules import RULES
 
-    results: list[dict[str, object]] = []
-    for finding in findings:
-        result: dict[str, object] = {
+    results: list[dict[str, object]] = [
+        {
             "ruleId": finding.rule,
             "level": "error",
             "message": {"text": finding.message},
             "locations": [
-                _sarif_location(finding.path, finding.line, finding.col)
+                {
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": finding.path},
+                        "region": {
+                            "startLine": finding.line,
+                            "startColumn": max(finding.col, 1),
+                        },
+                    }
+                }
             ],
         }
-        if finding.trace:
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        **_sarif_location(
-                                            step.path, step.line, 1
-                                        ),
-                                        "message": {"text": step.note},
-                                    }
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
-                }
-            ]
-        results.append(result)
+        for finding in findings
+    ]
     return {
         "version": "2.1.0",
         "$schema": _SARIF_SCHEMA,

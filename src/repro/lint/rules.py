@@ -58,13 +58,6 @@ RULES: dict[str, str] = {
     "repro.core (use repro.policies.registry.build_policy)",
     "C306": "broad `except Exception` handler that swallows the error "
     "(no raise in the handler body)",
-    "K401": "cache-key soundness: a field excluded from the class's "
-    "cache_token()/cache_key() walk is read on a simulation path and is "
-    "not on the _CACHE_NEUTRAL_FIELDS allowlist",
-    "K402": "stale _CACHE_NEUTRAL_FIELDS allowlist entry: names no "
-    "field, or a field the token walk already covers",
-    "K403": "impure operation (I/O, env, clock, randomness, global "
-    "mutation) reachable from cache_token()/cache_key() computation",
     "W001": "`# repro: noqa` suppression that no longer matches any "
     "finding (reported under --show-unused-noqa)",
     "E999": "file could not be parsed",

@@ -83,12 +83,95 @@ class TestMain:
         assert "fig5" in out
         assert "table4" in out
 
-    def test_unknown_experiment_exits_two(self, capsys):
-        code = main(
-            ["run", "fig99", "--scale", "128", "--requests", "500",
-             "--single-requests", "500"]
-        )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["run", "fig99"], "'fig99'", id="unknown-experiment"),
+            pytest.param(
+                ["run", "fig5", "--scale", "0"],
+                "profess run: scale must be a power of two >= 1",
+                id="scale-0",
+            ),
+            # The quad-core config builds at this scale; fig5's
+            # single-core one does not.
+            pytest.param(
+                ["run", "fig5", "--scale", "256"],
+                "profess run: fewer than two swap-group pairs per region",
+                id="scale-256-single-core",
+            ),
+            pytest.param(
+                ["run", "fig13", "--requests", "0"],
+                "argument --requests: must be >= 1",
+                id="requests-0",
+            ),
+            pytest.param(
+                ["run", "fig5", "--single-requests", "0"],
+                "argument --single-requests: must be >= 1",
+                id="single-requests-0",
+            ),
+            pytest.param(
+                ["run", "fig5", "--validate-every", "-5"],
+                "argument --validate-every: must be >= 0",
+                id="validate-every-negative",
+            ),
+            pytest.param(
+                ["report", "--scale", "0"],
+                "profess report: scale must be a power of two >= 1",
+                id="report-scale-0",
+            ),
+            pytest.param(
+                ["report", "--requests", "0"],
+                "argument --requests: must be >= 1",
+                id="report-requests-0",
+            ),
+            pytest.param(
+                ["report", "--single-requests", "0"],
+                "argument --single-requests: must be >= 1",
+                id="report-single-requests-0",
+            ),
+        ],
+    )
+    def test_bad_request_exits_two(self, argv, message, tmp_path, capsys):
+        # Small sizes first, so a bad value given after them wins;
+        # nothing is simulated or written either way.
+        command, *rest = argv
+        sizes = ["--scale", "128", "--requests", "500",
+                 "--single-requests", "500"]
+        output = tmp_path / "out.md"
+        if command == "report":
+            sizes += ["--output", str(output)]
+        try:
+            code = main([command, *sizes, *rest])
+        except SystemExit as exit:  # argparse rejects the flag
+            code = exit.code
         assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err.splitlines()[-1]
+        assert not output.exists()
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_abort_names_fail_fast_only_when_given(
+        self, fail_fast, monkeypatch, capsys
+    ):
+        # Every simulation fails: without --fail-fast the wave finishes
+        # and the figure's strict single-run path raises SweepFailure;
+        # with it, the first failure aborts the wave.
+        from repro.common.errors import SimulationError
+        from repro.exec import executor
+
+        def fail(spec):
+            raise SimulationError("injected")
+
+        monkeypatch.setattr(executor, "execute_spec", fail)
+        argv = ["run", "fig5", "--scale", "128", "--single-requests", "500"]
+        if fail_fast:
+            argv.append("--fail-fast")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        expected = "[fig5 aborted: fail-fast]" if fail_fast else "[fig5 aborted]"
+        assert err.splitlines()[0] == expected
+        assert "SimulationError" in err
 
     def test_unknown_id_in_list_aborts_before_running(self, tmp_path, capsys):
         # table1 is valid and cheap, but the bad trailing id must abort

@@ -1,7 +1,7 @@
 """Execution-subsystem tests: RunSpec keys, disk cache, parallelism."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -54,6 +54,25 @@ def spec(**overrides) -> RunSpec:
     return RunSpec(**base)
 
 
+#: Every field ``cache_key()`` digests, straight from the dataclass.
+KEYED_FIELDS = [
+    f.name
+    for f in fields(RunSpec)
+    if f.name not in RunSpec._CACHE_NEUTRAL_FIELDS
+]
+#: A value differing from :func:`spec`'s for each keyed field.
+CHANGED = {
+    "kind": "alone",
+    "programs": ("lbm",),
+    "policy": "mdm",
+    "config": replace(CONFIG, mdm=MDMConfig(min_benefit=9.0)),
+    "requests": 801,
+    "seed": 1,
+    "trace_scale": SCALE * 2,
+    "track_rsm_regions": True,
+}
+
+
 class TestRunSpecKeys:
     def test_same_spec_same_key(self):
         assert spec().cache_key() == spec().cache_key()
@@ -64,20 +83,18 @@ class TestRunSpecKeys:
         int(key, 16)
 
     @pytest.mark.parametrize(
-        "change",
-        [
-            {"kind": "alone"},
-            {"programs": ("lbm",)},
-            {"programs": ("zeusmp", "zeusmp")},
-            {"policy": "mdm"},
-            {"requests": 801},
-            {"seed": 1},
-            {"trace_scale": SCALE * 2},
-            {"track_rsm_regions": True},
-        ],
+        "change", [{name: CHANGED.get(name)} for name in KEYED_FIELDS]
     )
     def test_any_field_change_changes_key(self, change):
+        (name,) = change
+        assert name in CHANGED, f"no changed value for RunSpec.{name}"
         assert spec(**change).cache_key() != spec().cache_key()
+
+    def test_duplicate_program_changes_key(self):
+        assert (
+            spec(programs=("zeusmp", "zeusmp")).cache_key()
+            != spec().cache_key()
+        )
 
     def test_config_change_changes_key(self):
         tweaked = replace(CONFIG, mdm=MDMConfig(min_benefit=9.0))

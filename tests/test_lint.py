@@ -90,9 +90,6 @@ CASES: dict[str, Case] = {
     "C304": Case(module="repro.common.fixture"),
     "C305": Case(module="repro.experiments.fixture"),
     "C306": Case(module="repro.analysis.fixture"),
-    "K401": Case(module="repro.sim.fixture"),
-    "K402": Case(module="repro.sim.fixture"),
-    "K403": Case(module="repro.sim.fixture"),
     "W001": Case(module="repro.analysis.fixture", show_unused=True),
     "E999": Case(module="repro.analysis.fixture"),
 }
@@ -181,7 +178,6 @@ class TestRulesFire:
         assert len(lint_case("C302", "bad")) == 3  # list, dict, set
         assert len(lint_case("C303", "bad")) == 2  # local class + builtin
         assert len(lint_case("C306", "bad")) == 2  # plain + inside tuple
-        assert len(lint_case("K402", "bad")) == 2  # ghost + covered entry
 
 
 class TestSuppressions:

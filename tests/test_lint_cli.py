@@ -33,13 +33,13 @@ def _sim_module(tmp_path: Path, fixture: str) -> Path:
 
 
 class TestSarif:
-    """SARIF output, on K401: its findings carry a trace (declaration →
-    exclusion → read site) that renders as a code flow."""
+    """SARIF output, on D103 under ``repro.sim`` (a module-scoped rule, so
+    the fixture must be linted inside a ``repro.sim`` package)."""
 
     def test_cli_emits_valid_sarif(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "k401_bad")
+        target = _sim_module(tmp_path, "d103_bad")
         code = cli.main(
-            ["lint", str(target), "--select", "K401", "--format", "sarif"]
+            ["lint", str(target), "--select", "D103", "--format", "sarif"]
         )
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
@@ -47,27 +47,20 @@ class TestSarif:
         (run,) = payload["runs"]
         assert run["tool"]["driver"]["name"] == "profess-lint"
         results = run["results"]
-        assert [r["ruleId"] for r in results] == ["K401"]
+        # time.time, datetime.now, os.urandom, the alias, the from-import
+        # reference and the helper's clock read
+        assert [r["ruleId"] for r in results] == ["D103"] * 6
+        for result in results:
+            (location,) = result["locations"]
+            physical = location["physicalLocation"]
+            assert physical["artifactLocation"]["uri"] == str(target)
+            assert physical["region"]["startLine"] >= 1
         # Every reported ruleId is described in the driver's rule table.
         described = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {r["ruleId"] for r in results} <= described
 
-    def test_flow_findings_carry_code_flows(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "k401_bad")
-        cli.main(
-            ["lint", str(target), "--select", "K401", "--format", "sarif"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        (result,) = payload["runs"][0]["results"]
-        (code_flow,) = result["codeFlows"]
-        (thread_flow,) = code_flow["threadFlows"]
-        # declaration, exclusion, read site
-        assert len(thread_flow["locations"]) == 3
-        for location in thread_flow["locations"]:
-            assert location["location"]["message"]["text"]
-
     def test_clean_input_sarif_exits_0(self, tmp_path, capsys):
-        target = _sim_module(tmp_path, "k401_good")
+        target = _sim_module(tmp_path, "d103_good")
         code = cli.main(["lint", str(target), "--format", "sarif"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)

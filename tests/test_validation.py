@@ -130,6 +130,13 @@ class TestValidateEvery:
             replace(spec, validate_every=123).cache_key() == spec.cache_key()
         )
 
+    def test_validate_every_is_the_only_cache_neutral_field(self):
+        # cache_key() digests every other field; a name added here is
+        # dropped from the key, so the list changes only with review.
+        from repro.exec import RunSpec
+
+        assert RunSpec._CACHE_NEUTRAL_FIELDS == ("validate_every",)
+
 
 class TestFuzz:
     """Random mixes and policies keep every invariant (mini fuzz)."""
