@@ -82,7 +82,8 @@ class CacheHierarchy:
         while pending:
             index, key, dirty = pending.pop()
             victim = self._levels[index].insert(key, key, dirty=dirty)
-            if victim is not None and victim[2]:  # (key, value, dirty)
+            # (key, value, dirty); a displaced ``key`` itself stays put.
+            if victim is not None and victim[2] and victim[0] != key:
                 if index + 1 < self.num_levels:
                     pending.append((index + 1, victim[0], True))
                 else:

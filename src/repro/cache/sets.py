@@ -91,20 +91,20 @@ class SetAssociativeCache(Generic[V]):
     def _set_for(self, key: int) -> OrderedDict:
         return self._sets[key & self._set_mask]
 
-    def lookup(self, key: int, touch: bool = True) -> Optional[V]:
-        """Return the value for ``key`` or None; updates hit/miss stats."""
-        # _set_for, inlined: lookup/peek run once per demand request.
+    def lookup(self, key: int) -> Optional[V]:
+        """Return the value for ``key`` or None; updates hit/miss stats
+        and the key's replacement state."""
+        # _set_for, inlined: lookup runs once per demand request.
         entry_set = self._sets[key & self._set_mask]
         slot = entry_set.get(key)
         if slot is None:
             self.misses += 1
             return None
         self.hits += 1
-        if touch:
-            if self._touch_moves:
-                entry_set.move_to_end(key)
-            elif self._is_lfu:
-                self._freq[key] = self._freq.get(key, 0) + 1
+        if self._touch_moves:
+            entry_set.move_to_end(key)
+        elif self._is_lfu:
+            self._freq[key] = self._freq.get(key, 0) + 1
         return slot[0]
 
     def peek(self, key: int) -> Optional[V]:
@@ -125,21 +125,25 @@ class SetAssociativeCache(Generic[V]):
     def insert(
         self, key: int, value: V, dirty: bool = False
     ) -> Optional[tuple[int, V, bool]]:
-        """Insert ``key``; returns the evicted ``(key, value, dirty)``
-        if the set was full.
+        """Insert ``key``; returns the ``(key, value, dirty)`` it displaced.
 
-        Inserting an already-resident key updates it in place (returns
-        None); this mirrors a fill racing a hit.
+        That is the evicted entry when the set was full, or ``key``'s own
+        previous value and dirty bit when it was already resident (the
+        key is then updated in place and stays resident; this mirrors a
+        fill racing a hit), else None.  A caller tells the two apart by
+        the returned key.
         """
-        entry_set = self._set_for(key)
+        entry_set = self._sets[key & self._set_mask]
         if key in entry_set:
-            entry_set[key][0] = value
+            slot = entry_set[key]
+            replaced = (key, slot[0], slot[1])
+            slot[0] = value
             if dirty:
-                entry_set[key][1] = True
+                slot[1] = True
             entry_set.move_to_end(key)
             if self._is_lfu:
                 self._freq[key] = self._freq.get(key, 0) + 1
-            return None
+            return replaced
         victim: Optional[tuple[int, V, bool]] = None
         if len(entry_set) >= self.associativity:
             if self.replacement == "random":

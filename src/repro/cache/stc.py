@@ -136,29 +136,28 @@ class STC:
         group: int,
         qac_values: tuple[int, ...],
         st_entry: object = None,
-    ) -> Optional[STCEntry]:
-        """Insert a freshly fetched ST entry; returns the evicted entry.
+    ) -> STCEntry:
+        """Insert a freshly fetched ST entry; returns the new entry.
 
         ``qac_values`` is the QAC field of the ST entry at fetch time, a
         tuple the new entry keeps as its q_I snapshot; the per-location
         access counters start at zero (Section 3.2.1).  ``st_entry`` is
-        stored as the new entry's back-reference.  Eviction callbacks run
+        stored as the new entry's back-reference.  The entry this one
+        displaces stops being ``resident``: the evicted entry, or the
+        group's own entry when it is still resident (an insert over it
+        evicts nothing).  Eviction callbacks run on an evicted entry
         before this method returns, so MDM statistics and ST write-back
-        happen at the architecturally correct instant.  The entry this
-        one displaces (the evicted entry, or the group's own entry when
-        it is still resident) stops being ``resident``.
+        happen at the architecturally correct instant.
         """
-        replaced = self.peek(group)
-        if replaced is not None:
-            replaced.resident = False
-        victim = self._array.insert(group, STCEntry(group, qac_values, st_entry))
-        if victim is None:
-            return None
-        evicted = victim[1]
-        evicted.resident = False
-        for callback in self._eviction_callbacks:
-            callback(evicted)
-        return evicted
+        entry = STCEntry(group, qac_values, st_entry)
+        displaced = self._array.insert(group, entry)
+        if displaced is not None:
+            old = displaced[1]
+            old.resident = False
+            if displaced[0] != group:
+                for callback in self._eviction_callbacks:
+                    callback(old)
+        return entry
 
     def flush(self) -> list[STCEntry]:
         """Evict everything (end-of-simulation bookkeeping); returns entries."""

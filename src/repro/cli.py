@@ -227,8 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("program", help="Table 9 program name")
     trace_parser.add_argument("output", type=Path)
-    trace_parser.add_argument("--requests", type=int, default=50_000)
-    trace_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    trace_parser.add_argument("--requests", type=_positive_int, default=50_000)
+    trace_parser.add_argument(
+        "--scale", type=_positive_int, default=DEFAULT_SCALE
+    )
     trace_parser.add_argument("--seed", type=int, default=0)
 
     char_parser = subparsers.add_parser(
@@ -237,8 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     char_parser.add_argument(
         "trace", help="path to a .npz trace, or a Table 9 program name"
     )
-    char_parser.add_argument("--requests", type=int, default=50_000)
-    char_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    char_parser.add_argument("--requests", type=_positive_int, default=50_000)
+    char_parser.add_argument(
+        "--scale", type=_positive_int, default=DEFAULT_SCALE
+    )
     char_parser.add_argument("--seed", type=int, default=0)
 
     cache_parser = subparsers.add_parser(
@@ -545,6 +549,7 @@ def _report(args: argparse.Namespace) -> int:
         generate_experiments_md,
     )
     from repro.common.errors import ConfigError, InvalidValueError
+    from repro.exec import SweepFailure, format_failure_table
     from repro.experiments.store import ResultStore
 
     try:
@@ -556,6 +561,12 @@ def _report(args: argparse.Namespace) -> int:
     started = time.time()
     try:
         generate_experiments_md(runner, args.output, store=store)
+    except SweepFailure as error:
+        # As in ``profess run``: a strict run path, or --fail-fast.
+        reason = "aborted: fail-fast" if args.fail_fast else "aborted"
+        print(f"[report {reason}]", file=sys.stderr)
+        print(format_failure_table(error.failures), file=sys.stderr)
+        return 1
     except ConfigError as error:
         print(f"profess report: {error}", file=sys.stderr)
         return 2
@@ -565,12 +576,22 @@ def _report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _error_text(error: Exception) -> str:
+    """An error's message (a KeyError subclass's str() quotes it)."""
+    return str(error.args[0]) if error.args else str(error)
+
+
 def _trace(args: argparse.Namespace) -> int:
+    from repro.common.errors import ReproError
     from repro.traces.generator import synthesize_trace
 
-    trace = synthesize_trace(
-        args.program, args.requests, scale=args.scale, seed=args.seed
-    )
+    try:
+        trace = synthesize_trace(
+            args.program, args.requests, scale=args.scale, seed=args.seed
+        )
+    except ReproError as error:
+        print(f"profess trace: {_error_text(error)}", file=sys.stderr)
+        return 2
     trace.save(args.output)
     print(
         f"wrote {args.output}: {len(trace)} requests, "
@@ -580,17 +601,22 @@ def _trace(args: argparse.Namespace) -> int:
 
 
 def _characterize(args: argparse.Namespace) -> int:
+    from repro.common.errors import ReproError
     from repro.cpu.trace import Trace
     from repro.traces.generator import synthesize_trace
     from repro.traces.spec import PROGRAM_PROFILES
     from repro.traces.stats import characterize
 
-    if args.trace in PROGRAM_PROFILES:
-        trace = synthesize_trace(
-            args.trace, args.requests, scale=args.scale, seed=args.seed
-        )
-    else:
-        trace = Trace.load(args.trace)
+    try:
+        if args.trace in PROGRAM_PROFILES:
+            trace = synthesize_trace(
+                args.trace, args.requests, scale=args.scale, seed=args.seed
+            )
+        else:
+            trace = Trace.load(args.trace)
+    except ReproError as error:
+        print(f"profess characterize: {_error_text(error)}", file=sys.stderr)
+        return 2
     summary = characterize(trace)
     print(f"requests:                  {summary.requests}")
     print(f"instructions:              {summary.instructions}")

@@ -130,26 +130,28 @@ class MDMPolicy(MigrationPolicy):
     def on_st_eviction(self, stc_entry: STCEntry, st_entry: STEntry) -> None:
         """Update Table 6 statistics and write back QAC values (Sec. 3.2.1)."""
         controller = self._controller
+        group = stc_entry.group
         qac_of = self._qac_of
         top = len(qac_of) - 1
         if self.record_predictions:
             self._close_predictions(stc_entry)
         for slot, count in enumerate(stc_entry.counters):
-            if count <= 0:
-                if count:
-                    raise InvalidValueError(f"negative access count {count}")
+            if not count:
                 continue  # QAC not updated for untouched blocks
+            if count < 0:
+                raise InvalidValueError(f"negative access count {count}")
             q_e = qac_of[count] if count <= top else qac_of[top]
             if q_e == 0:
                 # Possible only with ablated boundaries whose first bucket
                 # starts above 1: a barely-touched block stays "unseen".
                 continue
-            q_i = stc_entry.qac_at_insert[slot]
             owner = None
             if controller is not None:
-                owner = controller.owner_of_slot(stc_entry.group, slot)
+                owner = controller.owner_of_slot(group, slot)
             if owner is not None:
-                self.stats_for(owner).record_transition(q_i, q_e, count)
+                self.stats_for(owner).record_transition(
+                    stc_entry.qac_at_insert[slot], q_e, count
+                )
             st_entry.qac[slot] = q_e
 
     def _close_predictions(self, stc_entry: STCEntry) -> None:

@@ -37,11 +37,15 @@ class Phase(Enum):
     ESTIMATION = "estimation"
 
 
+_OBSERVATION = Phase.OBSERVATION
+
+
 class MDMProgramStats:
     """One program's transition statistics and expected-count registers."""
 
     __slots__ = (
-        "_config",
+        "_phase_updates",
+        "_recompute_updates",
         "num_qi",
         "num_qe",
         "accum_cnt",
@@ -57,7 +61,9 @@ class MDMProgramStats:
     )
 
     def __init__(self, config: MDMConfig) -> None:
-        self._config = config
+        # Read on every update, so kept as plain attributes.
+        self._phase_updates = config.phase_updates
+        self._recompute_updates = config.recompute_updates
         num_qi = config.num_qac_values  # 4: q_I in {0, 1, 2, 3}
         num_qe = num_qi - 1  # 3: q_E in {1, 2, 3}; q_E = 0 is invalid
         self.num_qi = num_qi
@@ -96,25 +102,25 @@ class MDMProgramStats:
         self.num_q[q_i][q_e] += 1
         self.num_q_sum_e[q_i] += 1
         self.total_updates += 1
-        self._advance_phase()
-
-    def _advance_phase(self) -> None:
-        self._updates_in_phase += 1
-        if self.phase is Phase.OBSERVATION:
-            if self._updates_in_phase >= self._config.phase_updates:
+        # Advance the phase machine (Section 4.1).
+        in_phase = self._updates_in_phase + 1
+        if self.phase is _OBSERVATION:
+            if in_phase >= self._phase_updates:
                 self.phase = Phase.ESTIMATION
-                self._updates_in_phase = 0
+                in_phase = 0
                 self._updates_since_recompute = 0
                 self.recompute()
         else:
-            self._updates_since_recompute += 1
-            if self._updates_since_recompute >= self._config.recompute_updates:
-                self._updates_since_recompute = 0
+            since = self._updates_since_recompute + 1
+            if since >= self._recompute_updates:
+                since = 0
                 self.recompute()
-            if self._updates_in_phase >= self._config.phase_updates:
+            self._updates_since_recompute = since
+            if in_phase >= self._phase_updates:
                 self._reset_counters()
-                self.phase = Phase.OBSERVATION
-                self._updates_in_phase = 0
+                self.phase = _OBSERVATION
+                in_phase = 0
+        self._updates_in_phase = in_phase
 
     def _reset_counters(self) -> None:
         """Reset Table 6 counters (start of each observation phase)."""

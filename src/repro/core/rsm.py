@@ -170,7 +170,6 @@ class RSM:
         self.num_programs = num_programs
         self.num_regions = num_regions
         self.counters = [RSMCounters() for _ in range(num_programs)]
-        self._served = [0] * num_programs
         self._period = [0] * num_programs
         # One smoother per counter per program (Section 3.1.3 smooths the
         # counters, then computes the SFs from the smoothed values).
@@ -204,7 +203,12 @@ class RSM:
         region_is_private_own: bool,
         served_from_m1: bool,
     ) -> None:
-        """Account one served request (Table 3 request counters)."""
+        """Account one served request (Table 3 request counters).
+
+        The program's period ends after ``m_samp`` served requests: its
+        two request totals count every one of them since the last
+        sample, so their sum is the period's length.
+        """
         counters = self.counters[program]
         if region_is_private_own:
             counters.num_req_total_p += 1
@@ -214,11 +218,9 @@ class RSM:
             counters.num_req_total_s += 1
             if served_from_m1:
                 counters.num_req_m1_s += 1
-        if self._region_counts is not None:
+        if self._track_regions:
             self._region_counts[program][region] += 1
-        served = self._served[program] + 1
-        self._served[program] = served
-        if served >= self._m_samp:
+        if counters.num_req_total_p + counters.num_req_total_s >= self._m_samp:
             self._sample(program)
 
     def on_swap(
@@ -277,7 +279,6 @@ class RSM:
             )
         )
         self._period[program] += 1
-        self._served[program] = 0
         counters.reset()
 
     # ------------------------------------------------------------------

@@ -17,17 +17,19 @@ Every quantity here is a pure function of the configuration, so the
 per-request work is precomputed where it pays: power-of-two divisors
 become masks and shifts at construction time, and the simulator reads
 device locations as plain ``(channel, bank_key, row)`` tuples from two
-flat memos (data blocks and ST entries) that integer arithmetic fills
-on first touch.  The memos hold only the locations a run touches, so
-they stay small at any scale.  :meth:`AddressMap.data_location` and
+flat lists (data blocks and ST entries) that integer arithmetic fills
+on first touch.  The lists have a slot per location (9,216 data slots at
+quad-core scale 128, 1.18M at scale 1), so a request indexes one instead
+of probing a dict.  :meth:`AddressMap.data_location` and
 :meth:`AddressMap.st_location` spell the same mapping out as
-:class:`BlockLocation` objects; they are the reference the memos are
+:class:`BlockLocation` objects; they are the reference the lists are
 tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -90,12 +92,16 @@ class AddressMap:
             if _mask_and_shift(self.num_regions) is not None
             else None
         )
-        #: Lazily filled ``(channel, bank_key, row)`` memos, keyed by
-        #: ``group * group_size + location`` (data) and by group (ST).
-        #: The controller probes them directly and calls
-        #: :meth:`fill_data_loc` / :meth:`fill_st_loc` on a miss.
-        self.data_locs: dict[int, tuple[int, int, int]] = {}
-        self.st_locs: dict[int, tuple[int, int, int]] = {}
+        #: Lazily filled ``(channel, bank_key, row)`` tuples, indexed by
+        #: ``group * group_size + location`` (data) and by group (ST);
+        #: None until first touch.  The controller indexes them directly
+        #: and calls :meth:`fill_data_loc` / :meth:`fill_st_loc` on None.
+        self.data_locs: list[Optional[tuple[int, int, int]]] = [None] * (
+            self.total_groups * self.group_size
+        )
+        self.st_locs: list[Optional[tuple[int, int, int]]] = [
+            None
+        ] * self.total_groups
         self._st_entries_per_row = (
             self.st_entries_per_line * self.st_lines_per_row
         )

@@ -38,12 +38,12 @@ from repro.policies.base import AccessContext, MigrationPolicy
 
 CompletionCallback = Callable[[int], None]
 
-# Integer request kinds as the channel's queue tuples and counter slots
-# spell them (== RequestKind.DATA/ST_READ/ST_WRITE, kept as plain ints so
-# the per-request path pushes literals instead of enum attributes).
-_KIND_DATA = 0
-_KIND_ST_READ = 1
-_KIND_ST_WRITE = 2
+# Queue tags of the request kinds, as ``Channel.enqueue_soa`` takes them:
+# ``RequestKind.DATA/ST_READ/ST_WRITE << 3``, kept as plain ints so the
+# per-request path pushes precomputed values instead of enum arithmetic.
+_TAG_DATA = 0
+_TAG_ST_READ = 1 << 3
+_TAG_ST_WRITE = 2 << 3
 
 
 @dataclass(slots=True)
@@ -97,6 +97,8 @@ class HybridMemoryController:
         "_total_groups",
         "_stc_lookup",
         "_stc_peek",
+        "_stc_insert",
+        "_serve_cb",
         "_group_and_slot_of_line",
         "_fast_addr",
         "_lines_shift",
@@ -110,10 +112,10 @@ class HybridMemoryController:
         "_group_size",
         "_enqueue_soa",
         "_frame_owners",
-        "_private_region",
         "_private_of",
         "_rsm_on_request",
         "_policy_on_access",
+        "_policy_on_st_eviction",
         "_ctx",
         "__weakref__",
     )
@@ -220,9 +222,12 @@ class HybridMemoryController:
         self._total_groups = self.address_map.total_groups
         # Bound methods and stable collaborator references, resolved once
         # so ``access``/``_serve`` pay no repeated attribute chains on the
-        # per-request path.
+        # per-request path.  ``_serve_cb`` is the one bound ``_serve``
+        # every continuation partial wraps (dropped by ``release``).
         self._stc_lookup = self.stc.lookup
         self._stc_peek = self.stc.peek
+        self._stc_insert = self.stc.insert
+        self._serve_cb = self._serve
         self._group_and_slot_of_line = self.address_map.group_and_slot_of_line
         # Power-of-two address split, inlined into ``access`` (always
         # taken for the paper geometry); non-power-of-two configurations
@@ -240,30 +245,32 @@ class HybridMemoryController:
         self._region_of = self.address_map.region_of_groups(
             np.arange(config.total_groups, dtype=np.int64)
         ).tolist()
-        # The location memos themselves, so every request after the first
-        # touch of a location is one dict probe; a miss fills the memo.
+        # The location lists themselves, so every request after the
+        # first touch of a location is one list index; None there means
+        # not yet filled.
         self._data_locs = self.address_map.data_locs
         self._fill_data_loc = self.address_map.fill_data_loc
         self._st_locs = self.address_map.st_locs
         self._fill_st_loc = self.address_map.fill_st_loc
         self._group_size = config.hybrid.group_size
+        # The allocator's own owner list (read only), indexed by frame.
         self._frame_owners = self.allocator.frame_owners
-        self._private_region = self.region_map.private_region
         # Per-program private-region ids as a list: the region map never
         # reassigns private regions after construction, and the request
         # path compares one per served request.
+        private_region = self.region_map.private_region
         self._private_of = [
-            self._private_region.get(program, -1)
+            private_region.get(program, -1)
             for program in range(self.num_programs)
         ]
         self._rsm_on_request = self.rsm.on_request
         self._policy_on_access = policy.on_access
+        self._policy_on_st_eviction = policy.on_st_eviction
         # One reusable AccessContext, mutated per request.  Safe because
         # the policy contract (see AccessContext) forbids retaining the
         # context beyond ``on_access``; reusing the instance removes the
         # second-largest allocation on the request path.
         self._ctx = AccessContext(
-            core_id=0,
             group=0,
             slot=0,
             location=0,
@@ -281,10 +288,9 @@ class HybridMemoryController:
     def owner_of_slot(self, group: int, slot: int) -> Optional[int]:
         """Program owning the block with original home (group, slot).
 
-        Inlines ``allocator.owner_of_block(address_map.block_of(...))``:
-        the MDM eviction sweep asks this for every touched slot.
+        Inlines ``allocator.owner_of_block(address_map.block_of(...))``.
         """
-        return self._frame_owners.get((slot * self._total_groups + group) >> 1)
+        return self._frame_owners[(slot * self._total_groups + group) >> 1]
 
     @property
     def lines_per_block(self) -> int:
@@ -308,20 +314,25 @@ class HybridMemoryController:
             slot = block >> self._groups_shift
         else:
             _block, group, slot = self._group_and_slot_of_line(line)
-        events = self.events
         stc_entry = self._stc_lookup(group)
-        # One reusable bound method under a partial instead of a fresh
-        # closure per request: same callback shape, far less allocation.
-        # The serve hop carries the probed entry (None on a miss), so it
-        # need not probe again.
-        proceed = partial(
-            self._serve, core_id, group, slot, is_write, on_complete, stc_entry
-        )
+        # One bound ``_serve`` under a partial instead of a fresh closure
+        # per request: same callback shape, far less allocation.
         if stc_entry is not None:
-            # Inline-push contract (events.py): the STC hit lands a
-            # strictly-future cycle (latency_cycles > 0), so it goes
-            # straight onto the heap.  ``events._now`` directly: the
+            # The serve hop carries the probed entry, so it need not
+            # probe again.  Inline-push contract (events.py): the STC hit
+            # lands a strictly-future cycle (latency_cycles > 0), so it
+            # goes straight onto the heap.  ``events._now`` directly: the
             # ``now`` property costs a descriptor call per request here.
+            proceed = partial(
+                self._serve_cb,
+                core_id,
+                group,
+                slot,
+                is_write,
+                on_complete,
+                stc_entry,
+            )
+            events = self.events
             latency = self._stc_latency
             if latency:
                 seq = events._seq
@@ -330,35 +341,46 @@ class HybridMemoryController:
             else:
                 events._fifo.append(proceed)
         else:
-            self._fetch_st_entry(core_id, group, proceed)
+            # The fill hands the entry it inserts to the serve hop.
+            self._fetch_st_entry(
+                group,
+                partial(self._serve_cb, core_id, group, slot, is_write, on_complete),
+            )
 
     def _fetch_st_entry(
-        self, core_id: int, group: int, continuation: Callable[[int], None]
+        self, group: int, continuation: Callable[[STCEntry, int], None]
     ) -> None:
-        """Fetch a missing ST entry from M1; coalesce concurrent misses."""
+        """Fetch a missing ST entry from M1; coalesce concurrent misses.
+
+        Every ``continuation`` waiting on the fetch is called with the
+        filled STC entry and the fill cycle.
+        """
         waiting = self._pending_fetches.get(group)
         if waiting is not None:
             waiting.append(continuation)
             return
         self._pending_fetches[group] = [continuation]
-        channel, bank_key, row = (
-            self._st_locs.get(group) or self._fill_st_loc(group)
-        )
+        channel, bank_key, row = self._st_locs[group] or self._fill_st_loc(group)
         self._enqueue_soa[channel](
             bank_key,
             row,
             False,
             self.events._now,
-            _KIND_ST_READ,
+            _TAG_ST_READ,
             partial(self._fill_st_entry, group),
         )
 
     def _fill_st_entry(self, group: int, cycle: int) -> None:
-        """ST-entry fetch completion: fill the STC, release waiters."""
+        """ST-entry fetch completion: fill the STC, release waiters.
+
+        Each waiter gets the entry just inserted.  Nothing a waiter's
+        serve does inserts into the STC, so the entry stays resident
+        while the waiters run: it is what a fresh probe would return.
+        """
         st_entry = self.st.entry(group)
-        self.stc.insert(group, tuple(st_entry.qac), st_entry)
+        stc_entry = self._stc_insert(group, tuple(st_entry.qac), st_entry)
         for waiting in self._pending_fetches.pop(group):
-            waiting(cycle)
+            waiting(stc_entry, cycle)
 
     def _serve(
         self,
@@ -367,22 +389,22 @@ class HybridMemoryController:
         slot: int,
         is_write: bool,
         on_complete: Optional[CompletionCallback],
-        stc_entry: Optional[STCEntry],
+        stc_entry: STCEntry,
         now: int,
     ) -> None:
-        if stc_entry is None or not stc_entry.resident:
-            # After an ST fetch (nothing carried), or the carried hit was
-            # evicted since: probe again.  A resident carried entry is the
-            # group's only resident one, i.e. what this probe returns.
+        if not stc_entry.resident:
+            # The entry carried from the hit was evicted since (a fill's
+            # stays resident while its waiters run): probe again.  A
+            # resident carried entry is the group's only resident one,
+            # i.e. what this probe returns.
             stc_entry = self._stc_peek(group)
             if stc_entry is None:
-                # Evicted between fill and serve by a competing access
+                # Evicted between hit and serve by a competing access
                 # burst; re-fetch (rare, only under extreme STC pressure).
                 self._fetch_st_entry(
-                    core_id,
                     group,
                     partial(
-                        self._serve, core_id, group, slot, is_write, on_complete, None
+                        self._serve_cb, core_id, group, slot, is_write, on_complete
                     ),
                 )
                 return
@@ -420,24 +442,21 @@ class HybridMemoryController:
 
         # Migration decision (off the critical path, Section 3.2.3).
         # ``owner`` inlines owner_of_slot: frame = block_of(...) // 2.
-        owner = self._frame_owners.get((slot * self._total_groups + group) >> 1)
         ctx = self._ctx
-        ctx.core_id = core_id
         ctx.group = group
         ctx.slot = slot
         ctx.location = location
         ctx.is_write = is_write
-        ctx.owner = owner
+        ctx.owner = self._frame_owners[(slot * self._total_groups + group) >> 1]
         ctx.m1_owner = st_entry.m1_owner
         ctx.st_entry = st_entry
         ctx.stc_entry = stc_entry
         ctx.now = now
         promote_slot = self._policy_on_access(ctx)
 
-        key = group * self._group_size + location
-        channel, bank_key, row = (
-            self._data_locs.get(key) or self._fill_data_loc(group, location)
-        )
+        channel, bank_key, row = self._data_locs[
+            group * self._group_size + location
+        ] or self._fill_data_loc(group, location)
 
         if (
             promote_slot is None
@@ -458,7 +477,7 @@ class HybridMemoryController:
             )
 
         self._enqueue_soa[channel](
-            bank_key, row, is_write, now, _KIND_DATA, on_data_complete
+            bank_key, row, is_write, now, _TAG_DATA, on_data_complete
         )
 
     def _complete_and_promote(
@@ -485,22 +504,20 @@ class HybridMemoryController:
         if not self._swaps_enabled or group in self._swap_pending:
             return False
         st_entry = self.st.entry(group)
-        if st_entry.location_of(slot) == 0:
+        m2_location = st_entry.loc_of_slot[slot]
+        if m2_location == 0:
             return False
         self._swap_pending.add(group)
-        demote_slot = st_entry.m1_slot
-        m2_location = st_entry.location_of(slot)
+        demote_slot = st_entry.slot_of_loc[0]
         key = group * self._group_size
-        channel, m1_key, m1_row = (
-            self._data_locs.get(key) or self._fill_data_loc(group, 0)
-        )
-        _, m2_key, m2_row = (
-            self._data_locs.get(key + m2_location)
-            or self._fill_data_loc(group, m2_location)
+        data_locs = self._data_locs
+        channel, m1_key, m1_row = data_locs[key] or self._fill_data_loc(group, 0)
+        _, m2_key, m2_row = data_locs[key + m2_location] or self._fill_data_loc(
+            group, m2_location
         )
         m2_bank = m2_key - self.address_map.banks
 
-        owner_promoted = self.owner_of_slot(group, slot)
+        owner_promoted = self._frame_owners[(slot * self._total_groups + group) >> 1]
         owner_demoted = st_entry.m1_owner
         # Slow swap type (Table 1): the group's original mapping must be
         # restored before the new blocks exchange, costing an extra
@@ -517,8 +534,7 @@ class HybridMemoryController:
         st_entry.swap(slot, demote_slot)
         st_entry.m1_owner = owner_promoted
 
-        region = self.address_map.region_of_group(group)
-        if not self.region_map.is_private(region):
+        if not self.region_map.is_private(self._region_of[group]):
             # Swaps in private regions are not counted (Section 3.1.2).
             self.rsm.on_swap(owner_promoted, owner_demoted)
         # Explicit pair instead of iterating a {a, b} set literal: with a
@@ -546,20 +562,20 @@ class HybridMemoryController:
     # STC eviction handling
     # ------------------------------------------------------------------
     def _on_stc_eviction(self, stc_entry: STCEntry) -> None:
-        st_entry = stc_entry.st_entry or self.st.entry(stc_entry.group)
-        self.policy.on_st_eviction(stc_entry, st_entry)
-        # max() over the 9 resident counters instead of a generator-any:
-        # counters are non-negative, and evictions are frequent enough
-        # under STC pressure for the generator frame to show up.
-        if max(stc_entry.counters) > 0:
+        group = stc_entry.group
+        self._policy_on_st_eviction(
+            stc_entry, stc_entry.st_entry or self.st.entry(group)
+        )
+        # any() over the 9 resident (non-negative) counters: true when
+        # one was accessed, found in C without a generator frame.
+        if any(stc_entry.counters):
             # QAC values changed: write the ST entry back to M1 (the paper
             # notes this read-modify-write is typical regardless, Sec. 3.2.1).
-            group = stc_entry.group
-            channel, bank_key, row = (
-                self._st_locs.get(group) or self._fill_st_loc(group)
+            channel, bank_key, row = self._st_locs[group] or self._fill_st_loc(
+                group
             )
             self._enqueue_soa[channel](
-                bank_key, row, True, self.events._now, _KIND_ST_WRITE
+                bank_key, row, True, self.events._now, _TAG_ST_WRITE
             )
 
     # ------------------------------------------------------------------
@@ -583,13 +599,15 @@ class HybridMemoryController:
 
         The policy (``policy.bind``) and the STC (the eviction hook) each
         hold a way back to the controller, in-flight ST fetches hold
-        continuations into it, and each channel holds callbacks into
-        itself and the controller.  Statistics (``st``, ``rsm``,
+        continuations into it, the controller holds its own bound
+        ``_serve``, and each channel holds callbacks into itself and the
+        controller.  Statistics (``st``, ``rsm``,
         ``energy``, ``core_stats``, channel stats) stay readable.
         """
         self.policy.bind(None)
         self.stc.release()
         self._pending_fetches.clear()
+        del self._serve_cb
         for channel in self.channels:
             channel.release()
 

@@ -85,8 +85,12 @@ class OSAllocator:
             # of the same length would, and is faster at region sizes.
             rng.shuffle(frames)
             self._free[region] = frames
-        #: frame -> owning program.
-        self._owner: dict[int, int] = {}
+        #: Owning program of every frame, indexed by frame (None = free).
+        #: One slot per page any block maps to: with an odd block count
+        #: the last block's half page is never allocated, yet indexable.
+        self._owner: list[Optional[int]] = [None] * (
+            (address_map.total_blocks + 1) // 2
+        )
 
     def free_frames(self, region: int) -> int:
         """Free frames remaining in ``region``."""
@@ -125,32 +129,34 @@ class OSAllocator:
 
     def release(self, program: int, frames: Sequence[int]) -> None:
         """Return frames to their regions' free lists."""
+        owners = self._owner
         for frame in frames:
-            owner = self._owner.pop(frame, None)
-            if owner != program:
+            if owners[frame] != program:
                 raise SimulationError(
                     f"frame {frame} not owned by program {program}"
                 )
+            owners[frame] = None
             self._free[self._map.region_of_page(frame)].append(frame)
 
     @property
-    def frame_owners(self) -> dict[int, int]:
-        """Live frame -> owning-program mapping.
+    def frame_owners(self) -> list[Optional[int]]:
+        """Live owning program of every frame, indexed by frame (None =
+        free).
 
-        The dict object is stable for the allocator's lifetime (allocate
-        and release mutate it in place), so hot paths may hold a direct
-        reference instead of paying two method calls per request.
-        Callers must treat it as read-only.
+        The list object is stable for the allocator's lifetime (allocate
+        and release write its slots in place), so hot paths may hold a
+        direct reference and index it instead of paying two method calls
+        per request.  Callers must treat it as read-only.
         """
         return self._owner
 
     def owner_of_frame(self, frame: int) -> Optional[int]:
         """Program owning a frame, or None if free."""
-        return self._owner.get(frame)
+        return self._owner[frame]
 
     def owner_of_block(self, block: int) -> Optional[int]:
         """Program owning an original block address, or None."""
-        return self._owner.get(self._map.page_of_block(block))
+        return self._owner[self._map.page_of_block(block)]
 
 
 class PageTable:

@@ -52,19 +52,28 @@ HOT_CLASSES: frozenset[str] = frozenset(
 #: formatting, logging, and exception-handling overhead.  ``access``
 #: hands the ``STCEntry`` its probe found to ``_serve``, which trusts it
 #: while it is ``resident``; ``STC.insert`` clears that flag on every
-#: fill, so it is on the chain too.
+#: fill, so it is on the chain too.  The STC probe, the RSM count and
+#: PoM's decision run once per request; the fill, eviction and swap
+#: bookkeeping once per STC miss or swap.
 HOT_FUNCTIONS: frozenset[str] = frozenset(
     {
+        "repro.cache.sets.SetAssociativeCache.lookup",
         "repro.cache.stc.STC.insert",
         "repro.common.events.EventQueue.run",
         "repro.common.events.EventQueue.step",
+        "repro.core.mdm.MDMPolicy.on_st_eviction",
+        "repro.core.rsm.RSM.on_request",
         "repro.cpu.core_model.TraceCore._dispatch",
         "repro.cpu.core_model.TraceCore._issue_next",
         "repro.cpu.core_model.TraceCore._refill",
+        "repro.hybrid.memory.HybridMemoryController._fill_st_entry",
+        "repro.hybrid.memory.HybridMemoryController._on_stc_eviction",
         "repro.hybrid.memory.HybridMemoryController._serve",
         "repro.hybrid.memory.HybridMemoryController.access",
+        "repro.hybrid.memory.HybridMemoryController.request_promotion",
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue_soa",
+        "repro.policies.pom.PoMPolicy.on_access",
     }
 )
 

@@ -40,6 +40,8 @@ _CMD_GAP = 4
 _WRITE_QUEUE_HIGH = 24
 _WRITE_QUEUE_LOW = 8
 _WRITE_QUEUE_CAP = 32
+#: An idle time no bank reaches (the disabled row-idle-close policy).
+_NEVER = 1 << 62
 
 #: Sentinel for "no row open" in the bank ``open_row`` column.  The ST
 #: area uses a *negative* row namespace (``-1 - k``), so the sentinel
@@ -248,7 +250,7 @@ class Channel:
     __slots__ = (
         "_events",
         "_schedule_now",
-        "_modules",
+        "_module_of",
         "_streak",
         "_cap",
         "_swap_latency",
@@ -287,18 +289,18 @@ class Channel:
         # acceptance below always fire at the current cycle), bound once
         # for the enqueue and tick paths.
         self._schedule_now = events.schedule_now
-        # Indexed by Module (IntEnum): _modules[Module.M1] is the M1 state
-        # (the tick indexes it by ``bank_key >= banks_per_rank``).
-        self._modules = (
-            ModuleState(m1_timings, banks_per_rank, Module.M1),
-            ModuleState(m2_timings, banks_per_rank, Module.M2),
-        )
+        # The module state of every bank key: M1's banks, then M2's.
+        m1_state = ModuleState(m1_timings, banks_per_rank, Module.M1)
+        m2_state = ModuleState(m2_timings, banks_per_rank, Module.M2)
+        self._module_of = [m1_state] * banks_per_rank + [m2_state] * banks_per_rank
         # FR-FCFS-Cap state (Section 4.1): consecutive row hits served,
         # and the cap after which the oldest request issues regardless.
         self._streak = 0
         self._cap = frfcfs_cap
         self._swap_latency = swap_latency
-        self._row_idle_close = row_idle_close
+        # Idle cycles after which an open row is closed in the
+        # background; a disabled policy (0) waits for ever.
+        self._row_idle_close = row_idle_close if row_idle_close > 0 else _NEVER
         self._banks_per_rank = banks_per_rank
         # Bank state, both modules back to back: key =
         # module * banks_per_rank + bank.
@@ -342,14 +344,16 @@ class Channel:
         row: int,
         is_write: bool,
         arrival: int,
-        kind: int,
+        tag: int,
         on_complete: Optional[Callable[[int], None]] = None,
     ) -> None:
         """Accept one request at a global bank key and row.
 
         Callers (the hybrid controller) pass the precomputed bank key
-        ``module * banks_per_rank + bank``.  The queued tuple carries
-        ``kind << 3 | is_write << 1`` as its tag.  Reads complete
+        ``module * banks_per_rank + bank`` and the request kind's tag,
+        ``kind << 3`` (its bits of the counter slot, see
+        ``_SERVED_SLOTS``).  The queued tuple carries ``tag | is_write <<
+        1``.  Reads complete
         (``on_complete``) at the end of their data burst.  Writes are
         *posted*: they buffer in the controller's write queue, their
         ``on_complete`` fires at acceptance, and the queue drains in
@@ -359,14 +363,14 @@ class Channel:
         """
         if is_write:
             writes = self._writes
-            writes.append((bank_key, row, arrival, kind << 3 | 2, None))
+            writes.append((bank_key, row, arrival, tag | 2, None))
             if on_complete is not None:
                 if len(writes) <= _WRITE_QUEUE_CAP:
                     self._schedule_now(on_complete)
                 else:
                     self._write_accept_waiters.append(on_complete)
         else:
-            self._reads.append((bank_key, row, arrival, kind << 3, on_complete))
+            self._reads.append((bank_key, row, arrival, tag, on_complete))
         if not self._tick_scheduled:
             self._tick_scheduled = True
             self._schedule_now(self._tick_cb)
@@ -410,70 +414,72 @@ class Channel:
         bank timing, stats, and completion scheduling in a single pass —
         no per-request objects, no nested per-event calls.
         """
-        self._tick_scheduled = False
         reads = self._reads
         writes = self._writes
-        if writes:
-            # The read-priority write-drain watermark policy.
-            if not reads or len(writes) >= _WRITE_QUEUE_HIGH:
-                self._draining_writes = True
-                is_write = True
-            else:
-                if self._draining_writes and len(writes) <= _WRITE_QUEUE_LOW:
-                    self._draining_writes = False
-                is_write = self._draining_writes
-        elif reads:
-            # No buffered writes: reads drain, and any write drain
-            # mode ends.
+        if not writes:
+            if not reads:
+                self._tick_scheduled = False
+                return
+            # Reads only: they drain, and any write drain mode ends.
             self._draining_writes = False
             is_write = False
+            queue = reads
+        elif not reads or len(writes) >= _WRITE_QUEUE_HIGH:
+            # The read-priority write-drain watermark policy.
+            self._draining_writes = True
+            is_write = True
+            queue = writes
         else:
-            return
-        queue = writes if is_write else reads
+            if self._draining_writes and len(writes) <= _WRITE_QUEUE_LOW:
+                self._draining_writes = False
+            is_write = self._draining_writes
+            queue = writes if is_write else reads
         open_row = self._open_row
         # --- FR-FCFS-Cap selection (pre-refresh bank state): the oldest
         # row hit while the hit streak is under the cap, else the oldest
         # request.  Production queues stay shallow (DESIGN.md §14), so a
         # scalar walk that stops at the first hit is all it takes. ---
-        chosen = 0
-        entry = queue[0]
-        hit = open_row[entry[0]] == entry[1]
-        if not hit and self._streak < self._cap:
-            index = 1
-            count = len(queue)
-            while index < count:
-                candidate = queue[index]
-                if open_row[candidate[0]] == candidate[1]:
-                    chosen = index
-                    entry = candidate
-                    hit = True
-                    break
-                index += 1
-        self._streak = self._streak + 1 if hit else 0
-        del queue[chosen]
+        key, row, arrival, tag, callback = queue[0]
+        orow = open_row[key]
+        if orow == row:
+            self._streak += 1
+            del queue[0]
+        else:
+            chosen = 0
+            if self._streak < self._cap:
+                index = 1
+                count = len(queue)
+                while index < count:
+                    candidate = queue[index]
+                    if open_row[candidate[0]] == candidate[1]:
+                        chosen = index
+                        key, row, arrival, tag, callback = candidate
+                        orow = row
+                        break
+                    index += 1
+            if chosen:
+                self._streak += 1
+            else:
+                self._streak = 0
+            del queue[chosen]
         if (
             self._write_accept_waiters
             and len(writes) <= _WRITE_QUEUE_CAP
         ):
             self._schedule_now(self._write_accept_waiters.popleft())
         # --- issue: refresh catch-up, bank preparation, data burst ---
-        key, row, arrival, tag, callback = entry
-        module_state = self._modules[key >= self._banks_per_rank]
+        module_state = self._module_of[key]
         if now >= module_state.next_refresh:
             self._refresh_if_due(module_state, now)
+            orow = open_row[key]
         ready = self._ready_at
         dirty = self._dirty
         bank_ready = ready[key]
         prep_start = now if now > bank_ready else bank_ready
         if self._blocked_until > prep_start:
             prep_start = self._blocked_until
-        orow = open_row[key]
         row_idle_close = self._row_idle_close
-        if (
-            row_idle_close > 0
-            and orow != NO_ROW
-            and prep_start - bank_ready >= row_idle_close
-        ):
+        if orow != NO_ROW and prep_start - bank_ready >= row_idle_close:
             # Adaptive page policy: the controller precharged this idle
             # row in the background.  The precharge (and write recovery,
             # for a dirty row) happened off the critical path; only its
@@ -530,10 +536,12 @@ class Channel:
             _heappush(heap, (burst_end, seq, callback))
             events._seq = seq + 1
         if reads or writes:
-            self._tick_scheduled = True
+            # The tick stays scheduled: it runs again next command slot.
             seq = events._seq
             _heappush(heap, (now + _CMD_GAP, seq, self._tick_cb))
             events._seq = seq + 1
+        else:
+            self._tick_scheduled = False
 
     def _refresh_if_due(self, module_state: ModuleState, now: int) -> None:
         """Apply any refresh cycles that elapsed on the module by ``now``.
@@ -575,8 +583,12 @@ class Channel:
         rewritten), and the FR-FCFS-Cap row-hit streak is reset, modelling
         the paper's modification of ignoring row hits during swaps.
         """
-        now = self._events.now
-        start = max(now, self._bus_free_at, self._blocked_until)
+        # max(now, bus free, blocked until), without the call.
+        start = self._events._now
+        if self._bus_free_at > start:
+            start = self._bus_free_at
+        if self._blocked_until > start:
+            start = self._blocked_until
         end = start + self._swap_latency
         self._blocked_until = end
         self._bus_free_at = end

@@ -33,8 +33,6 @@ class AccessContext:
     schedule deferred work that dereferences it.
     """
 
-    #: Core (program) that issued the request.
-    core_id: int
     group: int
     #: Original slot of the accessed block.
     slot: int

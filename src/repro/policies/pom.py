@@ -81,6 +81,10 @@ class PoMPolicy(MigrationPolicy):
         super().__init__(config)
         self.write_weight = config.write_access_weight
         self._pom = config.pom
+        # Read once per request; attributes of their own spare the
+        # ``_pom`` hop.
+        self._counter_max = self._pom.counter_max
+        self._epoch_requests = self._pom.epoch_requests
         self._counters: dict[int, CompetingCounter] = {}
         self._shadows: dict[int, list[ShadowState]] = {}
         self._benefits = [0.0] * len(self._pom.thresholds)
@@ -126,7 +130,7 @@ class PoMPolicy(MigrationPolicy):
                 if value <= 0:
                     counter.candidate = slot
                     value = weight
-            maximum = self._pom.counter_max
+            maximum = self._counter_max
             counter.value = value = value if value < maximum else maximum
             threshold = self.threshold
             if (
@@ -138,7 +142,7 @@ class PoMPolicy(MigrationPolicy):
         if group % SAMPLE_STRIDE == 0:
             self._update_shadows(ctx, weight)
         self._requests_in_epoch += 1
-        if self._requests_in_epoch >= self._pom.epoch_requests:
+        if self._requests_in_epoch >= self._epoch_requests:
             self._end_epoch()
         return decision
 

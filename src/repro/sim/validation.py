@@ -13,8 +13,8 @@ structural invariants the organization guarantees in hardware:
 * no frame is owned by a program whose private region belongs to
   someone else.
 
-The checks are O(touched state), so tests and long experiments can call
-them periodically; `ValidationError` messages carry the offending group
+The checks are O(touched state) plus one pass over the frame-owner list,
+so tests and long experiments can call them periodically; `ValidationError` messages carry the offending group
 or program for debugging.
 """
 
@@ -106,7 +106,9 @@ def _validate_regions(controller: HybridMemoryController) -> int:
     region_map = controller.region_map
     address_map = controller.address_map
     checks = 0
-    for frame, owner in allocator._owner.items():
+    for frame, owner in enumerate(allocator.frame_owners):
+        if owner is None:
+            continue
         region = address_map.region_of_page(frame)
         if region_map.is_private(region) and not region_map.is_private_to(
             region, owner

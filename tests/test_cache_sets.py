@@ -56,7 +56,9 @@ class TestBasics:
     def test_reinsert_updates_in_place(self):
         cache = SetAssociativeCache[int](1, 1)
         cache.insert(1, 10)
-        assert cache.insert(1, 20) is None
+        # Nothing is evicted: insert reports the key's own displaced
+        # (key, value, dirty), and the key stays resident.
+        assert cache.insert(1, 20) == (1, 10, False)
         assert cache.peek(1) == 20
 
     def test_dirty_propagation(self):

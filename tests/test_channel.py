@@ -33,7 +33,7 @@ def make_channel(idle_close=0, swap_latency=2548):
 def enqueue(channel, module, bank, row, done=None, is_write=False,
             kind=RequestKind.DATA):
     """Queue one request that arrived at cycle 0."""
-    channel.enqueue_soa(module * BANKS + bank, row, is_write, 0, kind, done)
+    channel.enqueue_soa(module * BANKS + bank, row, is_write, 0, kind << 3, done)
 
 
 def run_one(events, channel, module, bank, row, is_write=False):
@@ -48,11 +48,11 @@ class TestQueues:
     def test_enqueue_records_entries_in_arrival_order(self):
         _events, channel = make_channel()
         done = lambda now: None
-        channel.enqueue_soa(3, 40, False, 100, 0, done)
-        channel.enqueue_soa(7, 41, True, 101, 2)
-        channel.enqueue_soa(5, 42, False, 102, 1)
-        # Each entry is tagged with its counter-slot bits,
-        # kind << 3 | is_write << 1.
+        channel.enqueue_soa(3, 40, False, 100, 0 << 3, done)
+        channel.enqueue_soa(7, 41, True, 101, 2 << 3)
+        channel.enqueue_soa(5, 42, False, 102, 1 << 3)
+        # Callers pass the kind's tag, kind << 3; each entry is tagged
+        # with its counter-slot bits, kind << 3 | is_write << 1.
         assert channel._reads == [
             (3, 40, 100, 0 << 3, done),
             (5, 42, 102, 1 << 3, None),
@@ -301,7 +301,8 @@ class TestStats:
             done = []
             arrival = events.now
             channel.enqueue_soa(
-                module * BANKS + bank, row, is_write, arrival, kind, done.append
+                module * BANKS + bank, row, is_write, arrival, kind << 3,
+                done.append,
             )
             check()  # queued, not yet served: nothing counted
             events.run()

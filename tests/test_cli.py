@@ -129,15 +129,44 @@ class TestMain:
                 "argument --single-requests: must be >= 1",
                 id="report-single-requests-0",
             ),
+            # ``OUT`` stands for the output path the test must not see
+            # written (here also a trace file that does not exist).
+            pytest.param(
+                ["trace", "zeusmp", "OUT", "--scale", "0"],
+                "argument --scale: must be >= 1",
+                id="trace-scale-0",
+            ),
+            pytest.param(
+                ["trace", "zeusmp", "OUT", "--requests", "0"],
+                "argument --requests: must be >= 1",
+                id="trace-requests-0",
+            ),
+            pytest.param(
+                ["trace", "bogus", "OUT"],
+                "profess trace: unknown program 'bogus'; choose from",
+                id="trace-unknown-program",
+            ),
+            pytest.param(
+                ["characterize", "OUT"],
+                "profess characterize: cannot load trace from",
+                id="characterize-missing-file",
+            ),
+            pytest.param(
+                ["characterize", "zeusmp", "--scale", "-4"],
+                "argument --scale: must be >= 1",
+                id="characterize-scale-negative",
+            ),
         ],
     )
     def test_bad_request_exits_two(self, argv, message, tmp_path, capsys):
         # Small sizes first, so a bad value given after them wins;
         # nothing is simulated or written either way.
         command, *rest = argv
-        sizes = ["--scale", "128", "--requests", "500",
-                 "--single-requests", "500"]
         output = tmp_path / "out.md"
+        rest = [str(output) if arg == "OUT" else arg for arg in rest]
+        sizes = ["--scale", "128", "--requests", "500"]
+        if command in ("run", "report"):
+            sizes += ["--single-requests", "500"]
         if command == "report":
             sizes += ["--output", str(output)]
         try:
@@ -172,6 +201,34 @@ class TestMain:
         expected = "[fig5 aborted: fail-fast]" if fail_fast else "[fig5 aborted]"
         assert err.splitlines()[0] == expected
         assert "SimulationError" in err
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_report_abort_names_fail_fast_only_when_given(
+        self, fail_fast, monkeypatch, tmp_path, capsys
+    ):
+        # As above, for the whole report: one line and the failure
+        # table instead of a traceback.  (The report file keeps the
+        # sections finished before the abort, by design.)
+        from repro.common.errors import SimulationError
+        from repro.exec import executor
+
+        def fail(spec):
+            raise SimulationError("injected")
+
+        monkeypatch.setattr(executor, "execute_spec", fail)
+        output = tmp_path / "out.md"
+        argv = ["report", "--scale", "128", "--requests", "300",
+                "--single-requests", "300", "--output", str(output)]
+        if fail_fast:
+            argv.append("--fail-fast")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        expected = (
+            "[report aborted: fail-fast]" if fail_fast else "[report aborted]"
+        )
+        assert err.splitlines()[0] == expected
+        assert "SimulationError" in err
+        assert "Traceback" not in err
 
     def test_unknown_id_in_list_aborts_before_running(self, tmp_path, capsys):
         # table1 is valid and cheap, but the bad trailing id must abort

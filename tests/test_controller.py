@@ -212,6 +212,22 @@ class TestCarriedSTCEntry:
         assert done
         assert hit.count(2) == 2
 
+    def test_fetched_entry_is_served_without_a_probe(self, monkeypatch):
+        # An STC miss: the fill hands the entry it inserted to every
+        # request waiting on the fetch, so their serves probe nothing.
+        policy = RecordingPolicy(CONFIG)
+        events, controller = make_controller(policy)
+        monkeypatch.setattr(
+            controller, "_stc_peek", lambda group: pytest.fail("probed")
+        )
+        controller.access(0, line_of(controller, 4, 2), False)
+        controller.access(0, line_of(controller, 4, 3), False)
+        events.run()
+        assert self._st_reads(controller) == 1
+        filled = controller.stc._array.peek(4)
+        assert [entry for entry, _probe in policy.seen] == [filled, filled]
+        assert filled.count(2) == filled.count(3) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(
         ways=st.integers(1, 3),
@@ -296,6 +312,28 @@ class TestSwaps:
             controller.access(1, block * 32, False)
             events.run()
             assert controller.st.entry(group).m1_owner == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="STEntry.m1_owner stays None until the group's first swap",
+    )
+    def test_m1_owner_names_the_owner_of_an_unswapped_m1_block(self):
+        # STEntry's contract: m1_owner is None only while the block in
+        # M1 belongs to no allocated page.  An M1-home block of a page
+        # program 1 owns sits in M1 from the start, so the group's entry
+        # must name program 1 as soon as it exists.
+        events, controller = make_controller()
+        amap = controller.address_map
+        frames = controller.allocator.allocate(1, 64)
+        block = next(
+            2 * frame for frame in frames if amap.slot_of_block(2 * frame) == 0
+        )
+        group = amap.group_of_block(block)
+        controller.access(1, line_of(controller, group, 3), False)
+        events.run()
+        entry = controller.st.entry(group)
+        assert controller.owner_of_slot(group, entry.m1_slot) == 1
+        assert entry.m1_owner == 1
 
     def test_request_promotion_noop_for_m1_resident(self):
         events, controller = make_controller()

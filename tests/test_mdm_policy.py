@@ -42,7 +42,6 @@ def make_ctx(
         for s, value in counters.items():
             stc_entry.counters[s] = value
     return AccessContext(
-        core_id=owner if owner is not None else 0,
         group=7,
         slot=slot,
         location=location,

@@ -20,7 +20,6 @@ def make_ctx(slot=2, location=2, count=1, is_write=False, group=0):
     stc_entry = STCEntry(group=group, qac_at_insert=(0,) * 9)
     stc_entry.counters[slot] = count
     return AccessContext(
-        core_id=0,
         group=group,
         slot=slot,
         location=location,

@@ -19,7 +19,6 @@ def make_ctx(slot=2, location=2, is_write=False, group=1):
     st_entry.m1_owner = 0
     stc_entry = STCEntry(group=group, qac_at_insert=(0,) * 9)
     return AccessContext(
-        core_id=0,
         group=group,
         slot=slot,
         location=location,

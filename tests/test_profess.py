@@ -33,7 +33,6 @@ def make_ctx(owner=1, m1_owner=0, count_m2=1, count_m1=0):
     stc_entry.counters[4] = count_m2
     stc_entry.counters[0] = count_m1
     return AccessContext(
-        core_id=owner,
         group=3,
         slot=4,
         location=4,

@@ -96,7 +96,8 @@ class TestResidency:
 
     def test_inserted_entry_is_resident(self):
         stc = make_stc()
-        stc.insert(0, (0,) * 9)
+        entry = stc.insert(0, (0,) * 9)
+        assert entry is stc.peek(0)
         assert stc.peek(0).resident
 
     def test_insert_eviction_clears_resident(self):
@@ -105,7 +106,10 @@ class TestResidency:
         stc.on_eviction(lambda e: evicted.append((e, e.resident)))
         stc.insert(0, (0,) * 9)
         first = stc.peek(0)
-        assert stc.insert(1, (0,) * 9) is first
+        second = stc.insert(1, (0,) * 9)
+        # insert returns the new entry; the one it evicted is ``first``.
+        assert second is stc.peek(1)
+        assert [entry for entry, _resident in evicted] == [first]
         assert not first.resident
         assert stc.peek(1).resident
         # The eviction callbacks already see the entry as gone.
@@ -125,8 +129,9 @@ class TestResidency:
         stc.on_eviction(evicted.append)
         stc.insert(0, (0,) * 9)
         old = stc.peek(0)
-        assert stc.insert(0, (1,) * 9) is None
+        returned = stc.insert(0, (1,) * 9)
         new = stc.peek(0)
+        assert returned is new
         assert new is not old
         assert not old.resident and new.resident
         assert new.qac_at_insert == (1,) * 9
