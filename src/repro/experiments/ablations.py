@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.common.config import ProFessConfig, RSMConfig
+from repro.common.config import ProFessConfig, RSMConfig, SystemConfig
 from repro.common.stats import geomean
+from repro.experiments.accumulators import Cell
 from repro.experiments.base import ExperimentResult
 from repro.experiments.fig05 import single_program_ratios
 from repro.experiments.runner import ExperimentRunner
-from repro.workloads.table10 import FAIRNESS_DETAIL_WORKLOADS
+from repro.workloads.table10 import FAIRNESS_DETAIL_WORKLOADS, WORKLOADS
 
 QAC_VARIANTS = {
     "paper (1,8,32)": (1, 8, 32),
@@ -78,42 +79,63 @@ def run_min_benefit(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
+def _unfairness_rows(
+    runner: ExperimentRunner, variants: dict[object, SystemConfig]
+) -> list[list]:
+    """[label, geomean ProFess/PoM max slowdown] per variant (label ->
+    quad-core config) over the detail workloads, all cells in one wave."""
+    cells = runner.run_cells(
+        [
+            Cell(name, WORKLOADS[name], "pom")
+            for name in FAIRNESS_DETAIL_WORKLOADS
+        ]
+        + [
+            Cell(f"{label}|{name}", WORKLOADS[name], "profess", config)
+            for label, config in variants.items()
+            for name in FAIRNESS_DETAIL_WORKLOADS
+        ]
+    ).raise_on_failure()
+    rows = []
+    for label in variants:
+        ratios = [
+            cells[f"{label}|{name}"].metrics.unfairness
+            / cells[name].metrics.unfairness
+            for name in FAIRNESS_DETAIL_WORKLOADS
+        ]
+        rows.append([label, geomean(ratios)])
+    return rows
+
+
 def run_rsm_thresholds(runner: ExperimentRunner) -> ExperimentResult:
     """ProFess fairness under hysteresis / Case-3 variants (w09/w16/w19)."""
-    rows = []
-    for label, profess_cfg in RSM_THRESHOLD_VARIANTS.items():
-        config = replace(runner.quad_config(), profess=profess_cfg)
-        unfairness = []
-        for name in FAIRNESS_DETAIL_WORKLOADS:
-            pom = runner.workload_metrics(name, "pom")
-            ours = runner.workload_metrics(name, "profess", config=config)
-            unfairness.append(ours.unfairness / pom.unfairness)
-        rows.append([label, geomean(unfairness)])
     return ExperimentResult(
         experiment_id="ablation-rsm-thresholds",
         title="ProFess hysteresis / Case-3 ablation (unfairness vs PoM)",
         headers=["variant", "geomean max-slowdown ratio"],
-        rows=rows,
+        rows=_unfairness_rows(
+            runner,
+            {
+                label: replace(runner.quad_config(), profess=profess_cfg)
+                for label, profess_cfg in RSM_THRESHOLD_VARIANTS.items()
+            },
+        ),
     )
 
 
 def run_alpha(runner: ExperimentRunner) -> ExperimentResult:
     """RSM smoothing-parameter ablation on the detail workloads."""
-    rows = []
-    for alpha in ALPHA_VALUES:
-        base = runner.quad_config()
-        config = replace(
-            base, rsm=RSMConfig(m_samp=base.rsm.m_samp, alpha=alpha)
-        )
-        unfairness = []
-        for name in FAIRNESS_DETAIL_WORKLOADS:
-            pom = runner.workload_metrics(name, "pom")
-            ours = runner.workload_metrics(name, "profess", config=config)
-            unfairness.append(ours.unfairness / pom.unfairness)
-        rows.append([alpha, geomean(unfairness)])
+    base = runner.quad_config()
     return ExperimentResult(
         experiment_id="ablation-rsm-alpha",
         title="RSM smoothing alpha ablation (unfairness vs PoM)",
         headers=["alpha", "geomean max-slowdown ratio"],
-        rows=rows,
+        rows=_unfairness_rows(
+            runner,
+            {
+                alpha: replace(
+                    base, rsm=RSMConfig(m_samp=base.rsm.m_samp, alpha=alpha)
+                )
+                for alpha in ALPHA_VALUES
+            },
+        ),
     )

@@ -1,13 +1,15 @@
 """Streaming figure accumulators: fold sweeps into metrics cells.
 
-The multiprogram figures (10-16) and the policy matrix are all the same
-shape: a *cell* — one program mix under one policy — needs the mix run
-plus each program's stand-alone reference run, and everything the figure
-keeps from those results is a tiny :class:`CellMetrics`.  The
-:class:`StreamedMetricsSweep` reducer computes each cell's metrics the
-moment its last run completes and lets the executor drop the result
-bytes immediately, so a sweep's parent footprint is bounded by the
-widest in-flight cell frontier instead of the wave.
+The multiprogram figures (2, 10-16), the RSM ablations and the
+extensions are all the same shape: a *cell* — one program mix under one
+policy — needs the mix run plus each program's stand-alone reference
+run, and everything the figure keeps from those results is a tiny
+:class:`CellMetrics`.  ``ExperimentRunner.run_cells`` runs a figure's
+cells as one wave through a :class:`StreamedMetricsSweep`, which
+computes each cell's metrics the moment its last run completes and lets
+the executor drop the result bytes immediately, so a sweep's parent
+footprint is bounded by the widest in-flight cell frontier instead of
+the wave.
 
 The contract (enforced by the property suite in
 ``tests/test_streaming.py``): for any completion order, any retry
@@ -20,17 +22,26 @@ happen at finalize time, so nothing observable depends on arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from repro.exec.resilience import RunFailure
+from repro.common.config import SystemConfig
+from repro.exec.resilience import RunFailure, SweepFailure
 from repro.exec.spec import RunSpec
 from repro.exec.streaming import GroupReducer
 from repro.sim.metrics import WorkloadMetrics
 from repro.sim.results import SimulationResult
 
-if TYPE_CHECKING:  # runner imports this module; avoid the cycle at runtime
-    from repro.common.config import SystemConfig
-    from repro.experiments.runner import ExperimentRunner
+
+class Cell(NamedTuple):
+    """One figure cell, as :meth:`ExperimentRunner.run_cells` takes it."""
+
+    #: Caller-chosen id the cell's metrics are returned under.
+    cell_id: str
+    #: Program mix, in core order.
+    programs: Sequence[str]
+    policy: str
+    #: Quad-core system to run on; None for the runner's default.
+    config: Optional[SystemConfig] = None
 
 
 @dataclass(frozen=True)
@@ -46,113 +57,71 @@ class CellMetrics:
     total_swaps: int
     stc_hit_rate: float
 
-    @classmethod
-    def from_results(
-        cls, multi: SimulationResult, single_ipcs: Sequence[float]
-    ) -> "CellMetrics":
-        return cls(
-            metrics=WorkloadMetrics.from_results(multi, list(single_ipcs)),
-            total_swaps=multi.total_swaps,
-            stc_hit_rate=multi.stc_hit_rate,
-        )
-
-
-@dataclass(frozen=True)
-class _CellPlan:
-    """How to turn one completed group back into a cell."""
-
-    mix_key: str
-    #: program name -> stand-alone reference run's cache key.
-    alone_keys: dict[str, str]
-    reference: str
-
 
 class StreamedMetricsSweep(GroupReducer):
-    """Folds a figure sweep into :class:`CellMetrics`, one per cell.
+    """Folds a figure's wave into :class:`CellMetrics`, one per cell.
 
-    Usage: call :meth:`add_cell` once per (mix, policy) cell — it
-    consults the runner's metrics memo (so repeated figures over the
-    same cells cost nothing) and returns the specs the cell still needs
-    — then hand the accumulated spec list and this reducer to
-    :meth:`ExperimentRunner.run_streamed`.  Afterwards ``metrics`` holds
-    every cell that completed and ``failed`` every cell that lost a run
-    to a terminal failure.
+    :meth:`ExperimentRunner.run_cells` declares each cell with
+    :meth:`add_cell`, runs the wave through this reducer and returns it:
+    ``cells`` then holds every cell that completed (memo hits included)
+    and ``failed`` every cell that lost a run to a terminal failure.
     """
 
-    def __init__(self, runner: "ExperimentRunner") -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.runner = runner
         #: cell id -> computed metrics (completed cells only).
-        self.metrics: dict[str, WorkloadMetrics] = {}
-        #: cell id -> full cell record (adds the mix-run scalars).
         self.cells: dict[str, CellMetrics] = {}
         #: cell id -> the failure that sank it.
         self.failed: dict[str, RunFailure] = {}
-        self._plans: dict[str, _CellPlan] = {}
+        #: cache key -> each stand-alone reference result folded, for
+        #: the runner's memo (see :meth:`ExperimentRunner.run_cells`).
+        self.references: dict[str, SimulationResult] = {}
+        #: cell id -> its mix run's cache key.
+        self._mix_keys: dict[str, str] = {}
 
-    def add_cell(
-        self,
-        cell_id: str,
-        programs: Sequence[str],
-        policy: str,
-        config: Optional["SystemConfig"] = None,
-    ) -> list[RunSpec]:
-        """Declare one cell; returns the specs it still needs run.
-
-        A memo hit (this runner already computed the cell, streamed or
-        not) records the cell immediately and returns no specs.
-        Duplicate cell ids are idempotent no-ops.
-        """
-        if (
-            cell_id in self.metrics
-            or cell_id in self._plans
-            or cell_id in self.failed
-        ):
-            return []
-        runner = self.runner
-        config = config if config is not None else runner.quad_config()
-        reference = runner.sp_reference or policy
-        mix_spec = runner.spec_mix(programs, policy, config)
-        cached = runner.cached_cell(mix_spec, reference)
-        if cached is not None:
-            self.metrics[cell_id] = cached.metrics
-            self.cells[cell_id] = cached
-            return []
-        alone_specs = {
-            program: runner.spec_alone(program, reference, config)
-            for program in dict.fromkeys(programs)
-        }
-        plan = _CellPlan(
-            mix_key=mix_spec.cache_key(),
-            alone_keys={
-                program: spec.cache_key()
-                for program, spec in alone_specs.items()
-            },
-            reference=reference,
-        )
-        self._plans[cell_id] = plan
+    def add_cell(self, cell_id: str, specs: Sequence[RunSpec]) -> None:
+        """Declare one cell from its specs: the mix run, then one
+        stand-alone reference run per distinct program."""
+        self._mix_keys[cell_id] = specs[0].cache_key()
         # May resolve (or fail) synchronously when another cell already
-        # delivered every key, so the plan must be registered first.
-        self.add_group(cell_id, [plan.mix_key, *plan.alone_keys.values()])
-        return [mix_spec, *alone_specs.values()]
+        # delivered every key, so the mix key must be registered first.
+        self.add_group(cell_id, [spec.cache_key() for spec in specs])
+
+    def raise_on_failure(self) -> dict[str, CellMetrics]:
+        """The strict view: every cell, or :class:`SweepFailure` naming
+        each failed run once."""
+        if self.failed:
+            by_key = {fail.key: fail for fail in self.failed.values()}
+            raise SweepFailure(list(by_key.values()))
+        return self.cells
 
     # ------------------------------------------------------------------
     # GroupReducer hooks
     # ------------------------------------------------------------------
+    def fold(
+        self, key: str, spec: RunSpec, result: SimulationResult
+    ) -> None:
+        if spec.kind == "alone":
+            self.references[key] = result
+        super().fold(key, spec, result)
+
     def group_completed(
         self, group_id: str, results: dict[str, SimulationResult]
     ) -> None:
-        plan = self._plans.pop(group_id)
-        multi = results[plan.mix_key]
-        single_ipcs = [
-            results[plan.alone_keys[program.name]].program(0).ipc
-            for program in multi.programs
-        ]
-        cell = CellMetrics.from_results(multi, single_ipcs)
-        self.metrics[group_id] = cell.metrics
-        self.cells[group_id] = cell
-        self.runner.remember_cell(plan.mix_key, plan.reference, cell)
+        mix_key = self._mix_keys.pop(group_id)
+        multi = results[mix_key]
+        alone_ipcs = {
+            result.program(0).name: result.program(0).ipc
+            for key, result in results.items()
+            if key != mix_key
+        }
+        single_ipcs = [alone_ipcs[program.name] for program in multi.programs]
+        self.cells[group_id] = CellMetrics(
+            metrics=WorkloadMetrics.from_results(multi, single_ipcs),
+            total_swaps=multi.total_swaps,
+            stc_hit_rate=multi.stc_hit_rate,
+        )
 
     def group_failed(self, group_id: str, failure: RunFailure) -> None:
-        self._plans.pop(group_id, None)
+        self._mix_keys.pop(group_id, None)
         self.failed[group_id] = failure

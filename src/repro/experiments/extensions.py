@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from typing import Optional, Sequence
-
 from repro.common.stats import geomean
 from repro.exec import format_failure_table
-from repro.experiments.accumulators import StreamedMetricsSweep
+from repro.experiments.accumulators import Cell
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.policies.registry import (
@@ -90,12 +88,17 @@ def matrix_cells() -> Tuple[PolicySpec, ...]:
 def run_rsm_pom(runner: ExperimentRunner) -> ExperimentResult:
     """Decompose ProFess: guidance-only vs cost-benefit-only vs both."""
     policies = decomposition_policies()
+    cells = runner.run_cells(
+        Cell(f"{name}|{policy}", WORKLOADS[name], policy)
+        for name in FAIRNESS_DETAIL_WORKLOADS
+        for policy in ("pom", *policies)
+    ).raise_on_failure()
     rows = []
     aggregates = {policy: {"unf": [], "ws": []} for policy in policies}
     for name in FAIRNESS_DETAIL_WORKLOADS:
-        pom = runner.workload_metrics(name, "pom")
+        pom = cells[f"{name}|pom"].metrics
         for policy in policies:
-            ours = runner.workload_metrics(name, policy)
+            ours = cells[f"{name}|{policy}"].metrics
             unf = ours.unfairness / pom.unfairness
             ws = ours.weighted_speedup / pom.weighted_speedup
             aggregates[policy]["unf"].append(unf)
@@ -132,11 +135,16 @@ def run_random_mixes(
     persist on mixes the policies were never tuned against.
     """
     mixes = random_mixes(seed=runner.seed + 17, count=count)
+    cells = runner.run_cells(
+        Cell(f"{label}|{policy}", programs, policy)
+        for label, programs in mixes.items()
+        for policy in ("pom", "profess")
+    ).raise_on_failure()
     rows = []
     unf, ws = [], []
     for label, programs in mixes.items():
-        pom = runner.mix_metrics(programs, "pom")
-        profess = runner.mix_metrics(programs, "profess")
+        pom = cells[f"{label}|pom"].metrics
+        profess = cells[f"{label}|profess"].metrics
         unf_ratio = profess.unfairness / pom.unfairness
         ws_ratio = profess.weighted_speedup / pom.weighted_speedup
         unf.append(unf_ratio)
@@ -217,45 +225,25 @@ def run_prediction_accuracy(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def _streamed_matrix_cells(
-    runner: ExperimentRunner, cells: Sequence[PolicySpec]
-) -> Optional[StreamedMetricsSweep]:
-    """Run the matrix as one streamed wave; None for legacy stubs.
-
-    One accumulator cell per canonical policy on :data:`MATRIX_WORKLOAD`;
-    the mix-run scalars the table reports (swaps, STC hit rate) are
-    captured at fold time, so the full results are never retained.
-    """
-    if not hasattr(runner, "run_streamed"):
-        return None
-    accumulator = StreamedMetricsSweep(runner)
-    wave: list = []
-    for cell in cells:
-        wave.extend(
-            accumulator.add_cell(
-                cell.canonical(), WORKLOADS[MATRIX_WORKLOAD], cell.canonical()
-            )
-        )
-    runner.run_streamed(wave, accumulator)
-    return accumulator
-
-
 def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
     """Cross-product policy/axis sweep on one contended workload (w09).
 
     One cell per point of :func:`matrix_cells` (base algorithm x RSM
-    guidance x STC replacement); the whole wave is prefetched through
-    the runner's executor so ``--jobs N`` fans the sweep out over the
-    process pool with results identical to serial execution.  The
-    CLI's repeatable ``--policy SPEC`` (``runner.policy_specs``)
-    restricts the sweep to explicit compositions.
+    guidance x STC replacement); the whole wave goes through the
+    runner's :meth:`~ExperimentRunner.run_cells` so ``--jobs N`` fans the
+    sweep out over the process pool with results identical to serial
+    execution.  The CLI's repeatable ``--policy SPEC``
+    (``runner.policy_specs``) restricts the sweep to explicit
+    compositions.
     """
-    restricted = getattr(runner, "policy_specs", None)
-    if restricted:
-        cells = tuple(PolicySpec.parse(spec) for spec in restricted)
+    if runner.policy_specs:
+        cells = tuple(PolicySpec.parse(spec) for spec in runner.policy_specs)
     else:
         cells = matrix_cells()
-    streamed = _streamed_matrix_cells(runner, cells)
+    records = runner.run_cells(
+        Cell(cell.canonical(), WORKLOADS[MATRIX_WORKLOAD], cell.canonical())
+        for cell in cells
+    ).cells
     rows = []
     speedups_by_axis: dict[str, dict[str, list[float]]] = {
         "base": {},
@@ -267,25 +255,17 @@ def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
         policy = cell.canonical()
         guidance = "rsm" if cell.guidance else "-"
         stc = cell.stc_replacement or "lru"
-        if streamed is not None:
-            record = streamed.cells.get(policy)
-            if record is None:
-                # The cell lost a run after retries: a FAILED row, never
-                # a figure abort (the failure table lands in the notes).
-                rows.append(
-                    [policy, cell.base, guidance, stc,
-                     "FAILED", "FAILED", "-", "-", "-"]
-                )
-                failed_cells += 1
-                continue
-            metrics = record.metrics
-            total_swaps = record.total_swaps
-            stc_hit_rate = record.stc_hit_rate
-        else:
-            metrics = runner.workload_metrics(MATRIX_WORKLOAD, policy)
-            result = runner.run_workload(MATRIX_WORKLOAD, policy)
-            total_swaps = result.total_swaps
-            stc_hit_rate = result.stc_hit_rate
+        record = records.get(policy)
+        if record is None:
+            # The cell lost a run after retries: a FAILED row, never a
+            # figure abort (the failure table lands in the notes).
+            rows.append(
+                [policy, cell.base, guidance, stc,
+                 "FAILED", "FAILED", "-", "-", "-"]
+            )
+            failed_cells += 1
+            continue
+        metrics = record.metrics
         rows.append(
             [
                 policy,
@@ -294,8 +274,8 @@ def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
                 stc,
                 metrics.weighted_speedup,
                 metrics.unfairness,
-                total_swaps,
-                stc_hit_rate,
+                record.total_swaps,
+                record.stc_hit_rate,
                 metrics.energy_efficiency,
             ]
         )

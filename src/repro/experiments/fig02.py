@@ -7,6 +7,7 @@ at 3.7 in w09 while lbm and GemsFDTD sit near 2.2).
 
 from __future__ import annotations
 
+from repro.experiments.accumulators import Cell
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.table10 import FAIRNESS_DETAIL_WORKLOADS, WORKLOADS
@@ -14,10 +15,14 @@ from repro.workloads.table10 import FAIRNESS_DETAIL_WORKLOADS, WORKLOADS
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Per-program slowdowns under PoM for the Figure 2 workloads."""
+    cells = runner.run_cells(
+        Cell(name, WORKLOADS[name], "pom")
+        for name in FAIRNESS_DETAIL_WORKLOADS
+    ).raise_on_failure()
     rows = []
     spreads = {}
     for name in FAIRNESS_DETAIL_WORKLOADS:
-        metrics = runner.workload_metrics(name, "pom")
+        metrics = cells[name].metrics
         for program, sdn in zip(WORKLOADS[name], metrics.slowdowns):
             rows.append([name, program, sdn])
         spreads[name] = max(metrics.slowdowns) / min(metrics.slowdowns)

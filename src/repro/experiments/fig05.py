@@ -11,8 +11,10 @@ from repro.analysis.report import (
     normalized_series_summary,
     render_boxplot_summary,
 )
+from repro.exec.spec import RunSpec, build_traces
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
+from repro.traces.generator import LINES_PER_PAGE
 from repro.workloads.table9 import FIG5_PROGRAMS
 
 
@@ -25,33 +27,39 @@ def single_program_ratios(
 ) -> dict[str, float]:
     """IPC of ``policy`` over ``baseline`` per Figure 5 program.
 
-    With ``skip_unfittable``, programs whose footprint exceeds the
-    configured total capacity are silently omitted (needed by the
-    capacity-ratio sensitivity, where shrinking M1 at fixed M2 can push
-    the largest footprints past the OS-visible capacity).
+    With ``skip_unfittable``, programs whose traced pages exceed the
+    configured OS-visible capacity are omitted before anything runs
+    (needed by the capacity-ratio sensitivity, where shrinking M1 at
+    fixed M2 can push the largest footprints past that capacity).
     """
-    from repro.common.errors import SimulationError
-
-    if not skip_unfittable:
-        # One parallel wave for the whole figure (18 single-core runs).
-        runner.prefetch(
-            [
-                runner.spec_single(program, scheme, config=config)
-                for program in FIG5_PROGRAMS
-                for scheme in (baseline, policy)
-            ]
-        )
+    programs = [
+        program
+        for program in FIG5_PROGRAMS
+        if not skip_unfittable
+        or _fits(runner.spec_single(program, baseline, config=config))
+    ]
+    # One parallel wave for the whole figure (18 single-core runs).
+    runner.prefetch(
+        [
+            runner.spec_single(program, scheme, config=config)
+            for program in programs
+            for scheme in (baseline, policy)
+        ]
+    )
     ratios = {}
-    for program in FIG5_PROGRAMS:
-        try:
-            base = runner.run_single(program, baseline, config=config)
-            new = runner.run_single(program, policy, config=config)
-        except SimulationError:
-            if skip_unfittable:
-                continue
-            raise
+    for program in programs:
+        base = runner.run_single(program, baseline, config=config)
+        new = runner.run_single(program, policy, config=config)
         ratios[program] = new.program(0).ipc / base.program(0).ipc
     return ratios
+
+
+def _fits(spec: RunSpec) -> bool:
+    """Whether a single-program spec's page table — sized, as in
+    :class:`~repro.sim.engine.SimulationDriver`, by the trace's largest
+    line — fits in its config's OS-visible page frames."""
+    [(_name, trace)] = build_traces(spec)
+    return trace.max_line() // LINES_PER_PAGE + 1 <= spec.config.total_pages
 
 
 def run(runner: ExperimentRunner) -> ExperimentResult:

@@ -16,6 +16,13 @@ from repro.workloads.table9 import FIG5_PROGRAMS
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Reproduce Figure 6."""
+    runner.prefetch(
+        [
+            runner.spec_single(program, policy)
+            for program in FIG5_PROGRAMS
+            for policy in ("pom", "mdm")
+        ]
+    )
     rows = []
     ratios = {}
     for program in FIG5_PROGRAMS:

@@ -36,15 +36,21 @@ def _with_stc_capacity(config: SystemConfig, capacity: int) -> SystemConfig:
 def stc_size_sweep(runner: ExperimentRunner) -> dict[str, dict[float, object]]:
     """results[program][size_factor] -> SimulationResult under MDM."""
     base = runner.single_config()
+    configs = {
+        factor: _with_stc_capacity(
+            base, max(int(base.stc.capacity * factor), 256)
+        )
+        for factor in SIZE_FACTORS
+    }
+    specs = {
+        (program, factor): runner.spec_single(program, "mdm", config=config)
+        for program in FIG5_PROGRAMS
+        for factor, config in configs.items()
+    }
+    runner.prefetch(list(specs.values()))
     results: dict[str, dict[float, object]] = {}
-    for program in FIG5_PROGRAMS:
-        results[program] = {}
-        for factor in SIZE_FACTORS:
-            capacity = max(int(base.stc.capacity * factor), 256)
-            config = _with_stc_capacity(base, capacity)
-            results[program][factor] = runner.run_single(
-                program, "mdm", config=config
-            )
+    for (program, factor), spec in specs.items():
+        results.setdefault(program, {})[factor] = runner.execute(spec)
     return results
 
 

@@ -8,6 +8,7 @@ programs (lbm, GemsFDTD in w09) to relieve the most-suffering ones.
 
 from __future__ import annotations
 
+from repro.experiments.accumulators import Cell
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.workloads.table10 import FAIRNESS_DETAIL_WORKLOADS, WORKLOADS
@@ -17,12 +18,16 @@ POLICIES = ("pom", "mdm", "profess")
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Reproduce Figure 16."""
+    cells = runner.run_cells(
+        Cell(f"{name}|{policy}", WORKLOADS[name], policy)
+        for name in FAIRNESS_DETAIL_WORKLOADS
+        for policy in POLICIES
+    ).raise_on_failure()
     rows = []
     summary = {}
     for name in FAIRNESS_DETAIL_WORKLOADS:
         metrics = {
-            policy: runner.workload_metrics(name, policy)
-            for policy in POLICIES
+            policy: cells[f"{name}|{policy}"].metrics for policy in POLICIES
         }
         for index, program in enumerate(WORKLOADS[name]):
             rows.append(

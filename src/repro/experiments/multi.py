@@ -3,7 +3,7 @@
 Each of Figures 10-15 is one metric of the same underlying sweep: every
 Table 10 workload run under PoM and under the evaluated scheme, with
 per-scheme stand-alone reference runs for the slowdown computation.  The
-sweep is cached inside the runner, so requesting several figures costs
+runner memoizes every computed cell, so requesting several figures costs
 one simulation pass.
 
 Sweeps tolerate partial waves (DESIGN.md §15): a workload whose runs
@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from repro.analysis.plotting import hbar_chart
 from repro.analysis.report import normalized_series_summary
 from repro.exec import format_failure_table
-from repro.experiments.accumulators import StreamedMetricsSweep
+from repro.experiments.accumulators import Cell
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.metrics import WorkloadMetrics
@@ -33,75 +33,35 @@ def sweep(
 ) -> dict[str, dict[str, WorkloadMetrics]]:
     """metrics[workload][policy] for the requested schemes.
 
-    The entire sweep — every workload x policy run plus the stand-alone
-    reference runs — runs as one *streamed* wave (DESIGN.md §17): each
-    (workload, policy) cell's metrics are computed the moment its runs
-    complete and the results are dropped, so with ``jobs > 1`` the whole
-    figure simulates in parallel while the parent holds metrics cells,
-    never the wave.
+    Every (workload, policy) cell goes through
+    :meth:`ExperimentRunner.run_cells` as one streamed wave (DESIGN.md
+    §17): each cell's metrics are computed the moment its runs complete
+    and the results are dropped, so with ``jobs > 1`` the whole figure
+    simulates in parallel while the parent holds metrics cells, never
+    the wave.
 
     Workloads whose runs failed (after the executor's retries) are
     omitted from the returned dict rather than raising; callers can
     compare against the requested ``workloads`` list and consult
     ``runner.failures`` for the cause.
     """
-    if not hasattr(runner, "run_streamed"):
-        return _materialized_sweep(runner, policies, workloads)
-    accumulator = StreamedMetricsSweep(runner)
-    wave: list = []
-    for name in workloads:
-        for policy in policies:
-            wave.extend(
-                accumulator.add_cell(
-                    f"{name}|{policy}", WORKLOADS[name], policy
-                )
-            )
-    runner.run_streamed(wave, accumulator)
+    cells = runner.run_cells(
+        Cell(f"{name}|{policy}", WORKLOADS[name], policy)
+        for name in workloads
+        for policy in policies
+    ).cells
     metrics: dict[str, dict[str, WorkloadMetrics]] = {}
     for name in workloads:
         per_policy = {
-            policy: accumulator.metrics[f"{name}|{policy}"]
+            policy: cells[f"{name}|{policy}"].metrics
             for policy in policies
-            if f"{name}|{policy}" in accumulator.metrics
+            if f"{name}|{policy}" in cells
         }
-        # Same contract as always: a workload with *any* failed run is
-        # omitted entirely (partial rows would skew the normalization).
+        # A workload with *any* failed run is omitted entirely (partial
+        # rows would skew the normalization).
         if len(per_policy) == len(policies):
             metrics[name] = per_policy
     return metrics
-
-
-def _materialized_sweep(
-    runner: ExperimentRunner,
-    policies: Sequence[str],
-    workloads: Sequence[str],
-) -> dict[str, dict[str, WorkloadMetrics]]:
-    """The guaranteed-identical fallback: prefetch, then reduce.
-
-    Used for runner stand-ins that predate streaming (duck-typed test
-    stubs); the property suite asserts its output matches the streamed
-    path cell for cell.
-    """
-    specs_by_workload = {
-        name: [
-            spec
-            for policy in policies
-            for spec in runner.workload_metric_specs(name, policy)
-        ]
-        for name in workloads
-    }
-    runner.prefetch(
-        [spec for specs in specs_by_workload.values() for spec in specs]
-    )
-    failed = runner.failed_keys()
-    return {
-        name: {
-            policy: runner.workload_metrics(name, policy)
-            for policy in policies
-        }
-        for name in workloads
-        if not any(spec.cache_key() in failed for spec in specs_by_workload[name])
-    }
 
 
 def normalized_figure(

@@ -14,16 +14,17 @@ Two cache layers sit behind every request:
   that survives process exit and is shared across CLI runs, benchmark
   sessions, and CI.
 
-With ``jobs > 1``, batched requests (:meth:`ExperimentRunner.prefetch`,
-used by the figure drivers and by :meth:`workload_metrics`) fan out over
-a process pool with results identical to serial execution.
+With ``jobs > 1``, each figure's wave (:meth:`ExperimentRunner.prefetch`
+for single-program runs, :meth:`ExperimentRunner.run_cells` for
+multiprogram cells) fans out over a process pool with results identical
+to serial execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.common.config import (
     SystemConfig,
@@ -44,7 +45,11 @@ from repro.exec import (
 from repro.exec.resilience import JournalState
 from repro.exec.spec import workload_traces as _workload_traces
 from repro.exec.streaming import WaveReducer
-from repro.experiments.accumulators import CellMetrics
+from repro.experiments.accumulators import (
+    Cell,
+    CellMetrics,
+    StreamedMetricsSweep,
+)
 from repro.policies.registry import canonical_policy
 from repro.sim.metrics import WorkloadMetrics
 from repro.sim.results import SimulationResult
@@ -144,10 +149,10 @@ class ExperimentRunner:
         self.memory_hits = 0
         #: Computed figure cells, keyed by (mix cache key, reference
         #: policy).  A CellMetrics is a few floats, so this memo can hold
-        #: an entire multi-figure session — it is what lets a streamed
-        #: fig10 feed fig11..15 without re-simulating (or re-reading the
-        #: disk cache for) a single run, even though streamed waves never
-        #: memoize full results.
+        #: an entire multi-figure session — it is what lets fig10 feed
+        #: fig11..15 without re-simulating (or re-reading the disk cache
+        #: for) a single run, though :meth:`run_cells` never memoizes a
+        #: mix result.
         self._metrics_memory: dict[tuple[str, str], CellMetrics] = {}
         #: Cells served from the metrics memo.
         self.metrics_memory_hits = 0
@@ -260,8 +265,8 @@ class ExperimentRunner:
         policy: str,
         config: Optional[SystemConfig] = None,
     ) -> list[RunSpec]:
-        """Every spec :meth:`mix_metrics` needs: the mix run plus the
-        stand-alone reference runs Eq. (1) divides by."""
+        """Every spec one cell needs: the mix run, then the stand-alone
+        reference run Eq. (1) divides by for each distinct program."""
         config = config or self.quad_config()
         reference = self.sp_reference or policy
         specs = [self.spec_mix(programs, policy, config)]
@@ -350,20 +355,49 @@ class ExperimentRunner:
         if fresh:
             self.executor.run_wave(list(fresh.values()), reducer=reducer)
 
-    def cached_cell(
-        self, mix_spec: RunSpec, reference: str
-    ) -> Optional[CellMetrics]:
-        """This runner's memoized cell for (mix run, reference policy)."""
-        cell = self._metrics_memory.get((mix_spec.cache_key(), reference))
+    def run_cells(self, cells: Iterable[Cell]) -> StreamedMetricsSweep:
+        """Compute a figure's cells (see :meth:`metric_specs`) in one
+        streamed wave; returns the reducer, whose ``cells`` hold each
+        completed cell's :class:`CellMetrics` and ``failed`` the failure
+        that sank each other cell (``raise_on_failure()`` is the strict
+        view).  A failure never aborts the wave.
+
+        The memo rule: computed cells are memoized, and so is every
+        stand-alone reference result the wave folds — a few per config,
+        shared by every cell and figure on it.  A mix result never is: it
+        belongs to one cell, whose metrics stand for it, and holding it
+        would grow parent memory with the sweep.
+        """
+        sweep = StreamedMetricsSweep()
+        wave: list[RunSpec] = []
+        declared: dict[str, tuple[str, str]] = {}
+        for cell_id, programs, policy, config in cells:
+            if cell_id in declared:
+                continue
+            specs = self.metric_specs(programs, policy, config)
+            held = self.cached_cell(specs[0])
+            if held is not None:
+                sweep.cells[cell_id] = held
+                continue
+            declared[cell_id] = self._cell_key(specs[0])
+            sweep.add_cell(cell_id, specs)
+            wave.extend(specs)
+        self.run_streamed(wave, sweep)
+        self._memory.update(sweep.references)
+        for cell_id, memo_key in declared.items():
+            if cell_id in sweep.cells:
+                self._metrics_memory[memo_key] = sweep.cells[cell_id]
+        return sweep
+
+    def cached_cell(self, mix_spec: RunSpec) -> Optional[CellMetrics]:
+        """The memoized cell of this mix run, if a figure computed it."""
+        cell = self._metrics_memory.get(self._cell_key(mix_spec))
         if cell is not None:
             self.metrics_memory_hits += 1
         return cell
 
-    def remember_cell(
-        self, mix_key: str, reference: str, cell: CellMetrics
-    ) -> None:
-        """Memoize one computed cell (streamed accumulators call this)."""
-        self._metrics_memory[(mix_key, reference)] = cell
+    def _cell_key(self, mix_spec: RunSpec) -> tuple[str, str]:
+        return (mix_spec.cache_key(), self.sp_reference or mix_spec.policy)
 
     def _on_run(self, event: RunEvent) -> None:
         if self.verbose:
@@ -398,10 +432,6 @@ class ExperimentRunner:
         """Every spec that exhausted retries, across all waves so far."""
         return self.executor.failures
 
-    def failed_keys(self) -> set[str]:
-        """Cache keys of failed specs (figure drivers skip these rows)."""
-        return {failure.key for failure in self.executor.failures}
-
     def resume_summary(self) -> Optional[str]:
         """One-line journal digest when resuming, else None."""
         if self.resume_state is None:
@@ -434,15 +464,6 @@ class ExperimentRunner:
             )
         )
 
-    def run_alone_in_quad(
-        self,
-        program: str,
-        policy: str,
-        config: Optional[SystemConfig] = None,
-    ) -> SimulationResult:
-        """Stand-alone reference run on the quad-core system (IPC_SP)."""
-        return self.execute(self.spec_alone(program, policy, config))
-
     def run_workload(
         self,
         workload_name: str,
@@ -458,23 +479,11 @@ class ExperimentRunner:
         policy: str,
         config: Optional[SystemConfig] = None,
     ) -> WorkloadMetrics:
-        """Metrics for an arbitrary program mix (not from Table 10)."""
-        config = config or self.quad_config()
-        reference = self.sp_reference or policy
-        mix_spec = self.spec_mix(programs, policy, config)
-        cell = self.cached_cell(mix_spec, reference)
-        if cell is not None:
-            return cell.metrics
-        specs = self.metric_specs(programs, policy, config)
-        self.prefetch(specs)
-        multi = self.execute(specs[0])
-        single_ipcs = [
-            self.run_alone_in_quad(p.name, reference, config).program(0).ipc
-            for p in multi.programs
-        ]
-        cell = CellMetrics.from_results(multi, single_ipcs)
-        self.remember_cell(mix_spec.cache_key(), reference, cell)
-        return cell.metrics
+        """Metrics for an arbitrary program mix (not from Table 10): a
+        one-cell :meth:`run_cells` that raises :class:`SweepFailure` if a
+        run failed."""
+        cells = self.run_cells([Cell("mix", programs, policy, config)])
+        return cells.raise_on_failure()["mix"].metrics
 
     def workload_metrics(
         self,

@@ -24,39 +24,42 @@ PAPER_M_SAMP = (64 * 1024, 128 * 1024, 256 * 1024)
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Reproduce Table 4 at simulation scale."""
-    rows = []
-    summary = {}
+    base = runner.single_config()
+    specs = {}
     for program in PROGRAMS:
         for paper_m_samp in PAPER_M_SAMP:
             m_samp = max(paper_m_samp // runner.scale, 256)
-            base = runner.single_config()
             config = replace(
                 base, rsm=RSMConfig(m_samp=m_samp, alpha=base.rsm.alpha)
             )
-            result = runner.run_single(
+            specs[program, paper_m_samp] = runner.spec_single(
                 program, "pom", config=config, track_rsm_regions=True
             )
-            samples = [
-                s for s in result.extra["rsm_history"] if s.program == 0
-            ]
-            sigma_req = [s.sigma_req for s in samples if s.sigma_req is not None]
-            raw = [s.raw_sf_a for s in samples if s.raw_sf_a is not None]
-            smoothed = [s.smoothed_sf_a for s in samples]
-            if len(raw) < 2 or len(smoothed) < 2:
-                rows.append(
-                    [program, paper_m_samp // 1024, m_samp, None, None, None]
-                )
-                continue
+    runner.prefetch(list(specs.values()))
+    rows = []
+    summary = {}
+    for (program, paper_m_samp), spec in specs.items():
+        m_samp = spec.config.rsm.m_samp
+        result = runner.execute(spec)
+        samples = [s for s in result.extra["rsm_history"] if s.program == 0]
+        sigma_req = [s.sigma_req for s in samples if s.sigma_req is not None]
+        raw = [s.raw_sf_a for s in samples if s.raw_sf_a is not None]
+        smoothed = [s.smoothed_sf_a for s in samples]
+        if len(raw) < 2 or len(smoothed) < 2:
             rows.append(
-                [
-                    program,
-                    paper_m_samp // 1024,
-                    m_samp,
-                    100 * mean(sigma_req) if sigma_req else float("nan"),
-                    100 * stddev(raw),
-                    100 * stddev(smoothed),
-                ]
+                [program, paper_m_samp // 1024, m_samp, None, None, None]
             )
+            continue
+        rows.append(
+            [
+                program,
+                paper_m_samp // 1024,
+                m_samp,
+                100 * mean(sigma_req) if sigma_req else float("nan"),
+                100 * stddev(raw),
+                100 * stddev(smoothed),
+            ]
+        )
     # Shape checks the paper emphasizes.
     by_program: dict[str, list] = {}
     for row in rows:

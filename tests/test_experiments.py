@@ -1,8 +1,13 @@
 """Experiment runner/registry tests (small scale to stay fast)."""
 
+import collections
+
 import pytest
 
 from repro.common.config import paper_quad_core, paper_single_core
+from repro.exec import SweepFailure
+from repro.exec import executor as executor_module
+from repro.exec.chaos import ChaosKilledError
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExperimentRunner
@@ -136,3 +141,59 @@ class TestSmallDrivers:
         assert len(result.rows) == 12  # 3 workloads x 4 programs
         for _w, _p, sdn in result.rows:
             assert sdn > 0
+
+
+class TestCellPath:
+    """The one path that computes multiprogram cells (run_cells)."""
+
+    def test_failed_mix_is_attempted_once_per_retry_budget(
+        self, monkeypatch
+    ):
+        simulate = executor_module.execute_spec
+        attempts = collections.Counter()
+
+        def flaky(spec):
+            if spec.kind == "multi":
+                attempts[spec.cache_key()] += 1
+                # Retryable (an OSError), so it spends the whole budget.
+                raise ChaosKilledError("injected")
+            return simulate(spec)
+
+        monkeypatch.setattr(executor_module, "execute_spec", flaky)
+        runner = ExperimentRunner(
+            scale=128, multi_requests=300, single_requests=300, retries=1
+        )
+        key = runner.spec_workload("w16", "pom").cache_key()
+        with pytest.raises(SweepFailure) as caught:
+            runner.workload_metrics("w16", "pom")
+        assert attempts == {key: 2}
+        assert [failure.key for failure in runner.failures] == [key]
+        assert [failure.key for failure in caught.value.failures] == [key]
+
+    def test_session_simulates_no_spec_twice(self):
+        # The memo rule: stand-alone reference runs are shared by every
+        # cell on a config, and mempod-vs-pom reads fig2's PoM mixes from
+        # its cells, so no spec of this session is simulated twice.
+        runner = ExperimentRunner(
+            scale=128, multi_requests=300, single_requests=300, seed=0
+        )
+        runs = collections.Counter()
+        runner.executor.on_run = lambda event: runs.update(
+            [event.spec.cache_key()]
+        )
+        for experiment_id in (
+            "fig2", "fig10", "fig13", "ext-rsm-pom", "mempod-vs-pom"
+        ):
+            run_experiment(experiment_id, runner)
+        assert len(runs) == runner.executor.executed > 0
+        assert set(runs.values()) == {1}
+
+    def test_sens_ratio_skips_programs_that_do_not_fit(self):
+        # At scale 64, milc's traced pages (2,182) exceed the 1:16
+        # system's 2,176 page frames: it is left out before the wave
+        # instead of failing in it.
+        runner = ExperimentRunner(scale=64, single_requests=2000, jobs=2)
+        result = run_experiment("sens-ratio", runner)
+        programs = {row[0]: row[2] for row in result.rows}
+        assert programs == {"1:4": 7, "1:8": 9, "1:16": 8}
+        assert runner.failures == []

@@ -1,12 +1,12 @@
 """Extension-experiment driver tests with a stubbed runner."""
 
+from repro.experiments.accumulators import CellMetrics, StreamedMetricsSweep
 from repro.experiments.extensions import (
     run_policy_matrix,
     run_random_mixes,
     run_rsm_pom,
 )
 from repro.sim.metrics import WorkloadMetrics
-from repro.sim.results import ProgramResult, SimulationResult
 
 
 def _metrics(policy, unfairness, speedup):
@@ -41,33 +41,20 @@ class StubRunner:
     seed = 0
     policy_specs = None
 
-    def workload_metrics(self, name, policy, config=None):
-        # Composed specs ("mdm+stc:lfu") fall back to their base name's
-        # canned quality.
-        unfairness, speedup = QUALITY.get(policy) or QUALITY[
-            policy.split("+")[0]
-        ]
-        return _metrics(policy, unfairness, speedup)
-
-    def mix_metrics(self, programs, policy, config=None):
-        return self.workload_metrics("mix", policy)
-
-    def run_workload(self, name, policy, config=None):
-        return SimulationResult(
-            policy=policy,
-            cycles=1000,
-            programs=tuple(
-                ProgramResult(p, i, 100, 0.5, 10, 0.5, 1, 0)
-                for i, p in enumerate("abcd")
-            ),
-            total_requests=40,
-            total_swaps=3,
-            swap_fraction=0.03,
-            average_read_latency=100.0,
-            stc_hit_rate=0.9,
-            energy_joules=1.0,
-            energy_efficiency=1e6,
-        )
+    def run_cells(self, cells):
+        wave = StreamedMetricsSweep()
+        for cell_id, _programs, policy, _config in cells:
+            # Composed specs ("mdm+stc:lfu") fall back to their base
+            # name's canned quality.
+            unfairness, speedup = QUALITY.get(policy) or QUALITY[
+                policy.split("+")[0]
+            ]
+            wave.cells[cell_id] = CellMetrics(
+                metrics=_metrics(policy, unfairness, speedup),
+                total_swaps=3,
+                stc_hit_rate=0.9,
+            )
+        return wave
 
 
 class TestRSMPoMDecomposition:

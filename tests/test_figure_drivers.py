@@ -1,6 +1,7 @@
 """Figure-driver tests on a stubbed runner (no simulation)."""
 
 from repro.experiments import fig02, fig16
+from repro.experiments.accumulators import CellMetrics, StreamedMetricsSweep
 from repro.sim.metrics import WorkloadMetrics
 from repro.workloads.table10 import WORKLOADS
 
@@ -14,18 +15,24 @@ class StubRunner:
         "profess": (3.2, 2.8, 2.6, 2.2),
     }
 
-    def workload_metrics(self, name, policy, config=None):
-        slowdowns = self.SLOWDOWNS[policy]
-        return WorkloadMetrics(
-            policy=policy,
-            program_names=WORKLOADS[name],
-            slowdowns=slowdowns,
-            weighted_speedup=sum(1 / s for s in slowdowns),
-            unfairness=max(slowdowns),
-            energy_efficiency=1e6,
-            average_read_latency=100.0,
-            swap_fraction=0.02,
-        )
+    def run_cells(self, cells):
+        wave = StreamedMetricsSweep()
+        for cell_id, programs, policy, _config in cells:
+            slowdowns = self.SLOWDOWNS[policy]
+            metrics = WorkloadMetrics(
+                policy=policy,
+                program_names=tuple(programs),
+                slowdowns=slowdowns,
+                weighted_speedup=sum(1 / s for s in slowdowns),
+                unfairness=max(slowdowns),
+                energy_efficiency=1e6,
+                average_read_latency=100.0,
+                swap_fraction=0.02,
+            )
+            wave.cells[cell_id] = CellMetrics(
+                metrics=metrics, total_swaps=0, stc_hit_rate=0.0
+            )
+        return wave
 
 
 class TestFig02:

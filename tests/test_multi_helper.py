@@ -3,28 +3,22 @@
 import pytest
 
 from repro.exec.resilience import RunFailure
+from repro.experiments.accumulators import CellMetrics, StreamedMetricsSweep
 from repro.experiments.multi import normalized_figure, sweep
 from repro.sim.metrics import WorkloadMetrics
+from repro.workloads.table10 import WORKLOADS
 
-
-class FakeSpec:
-    """Just enough of a RunSpec for the sweep's failure bookkeeping."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def cache_key(self):
-        return self.key
+#: Program mix -> Table 10 workload name (the stub's cells carry mixes).
+WORKLOAD_OF = {programs: name for name, programs in WORKLOADS.items()}
 
 
 class StubRunner:
-    """Returns canned WorkloadMetrics; counts calls for cache checks."""
+    """Returns canned cells; counts the cells it computes."""
 
     def __init__(self, values, failed=()):
         # values[workload][policy] -> (unfairness, weighted_speedup)
         self.values = values
         self.calls = 0
-        self.prefetched = 0
         #: Workload names whose (fake) runs failed after retries.
         self.failed_workloads = set(failed)
         self.failures = [
@@ -40,30 +34,32 @@ class StubRunner:
             for name in sorted(self.failed_workloads)
         ]
 
-    def workload_metric_specs(self, name, policy, config=None):
-        # Canned metrics need no simulations; one fake spec per request
-        # keeps the failure bookkeeping observable.
-        return [FakeSpec(f"{name}:{policy}")]
-
-    def prefetch(self, specs):
-        self.prefetched += len(specs)
-
-    def failed_keys(self):
-        return {f"{name}:pom" for name in self.failed_workloads}
-
-    def workload_metrics(self, name, policy, config=None):
-        self.calls += 1
-        unfairness, speedup = self.values[name][policy]
-        return WorkloadMetrics(
-            policy=policy,
-            program_names=("a", "b"),
-            slowdowns=(unfairness, unfairness / 2),
-            weighted_speedup=speedup,
-            unfairness=unfairness,
-            energy_efficiency=100.0,
-            average_read_latency=50.0,
-            swap_fraction=0.02,
-        )
+    def run_cells(self, cells):
+        wave = StreamedMetricsSweep()
+        for cell_id, programs, policy, _config in cells:
+            name = WORKLOAD_OF[tuple(programs)]
+            if name in self.failed_workloads:
+                # The failed run is shared by every cell of its workload.
+                wave.failed[cell_id] = next(
+                    f for f in self.failures if f.key == f"{name}:pom"
+                )
+                continue
+            self.calls += 1
+            unfairness, speedup = self.values[name][policy]
+            metrics = WorkloadMetrics(
+                policy=policy,
+                program_names=("a", "b"),
+                slowdowns=(unfairness, unfairness / 2),
+                weighted_speedup=speedup,
+                unfairness=unfairness,
+                energy_efficiency=100.0,
+                average_read_latency=50.0,
+                swap_fraction=0.02,
+            )
+            wave.cells[cell_id] = CellMetrics(
+                metrics=metrics, total_swaps=0, stc_hit_rate=0.0
+            )
+        return wave
 
 
 VALUES = {

@@ -12,8 +12,9 @@ whole wave and reducing it afterwards would have produced.
 * a hypothesis property drives random group structures through random
   completion/failure interleavings against a brute-force reference;
 * an end-to-end test runs a real figure sweep both ways — the streamed
-  accumulator versus the materializing fallback — and asserts identical
-  metrics, then that the runner's metrics memo makes re-sweeps free.
+  accumulator versus a materialize-then-reduce reference built here —
+  and asserts identical metrics, then that the runner's metrics memo
+  makes re-sweeps free.
 """
 
 import pytest
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.exec.resilience import RunFailure
 from repro.exec.streaming import GroupReducer, ListReducer
-from repro.experiments.multi import _materialized_sweep, sweep
+from repro.experiments.multi import sweep
 from repro.experiments.runner import ExperimentRunner
+from repro.sim.metrics import WorkloadMetrics
 
 KEYS = [f"{c}" * 64 for c in "abcdefgh"]
 
@@ -206,12 +208,32 @@ def small_runner(**overrides) -> ExperimentRunner:
     return ExperimentRunner(**params)
 
 
+def materialized_sweep(runner, policies, workloads):
+    """The reference: execute every run, then reduce each cell with
+    ``WorkloadMetrics.from_results`` (stand-alone IPCs under PoM)."""
+    metrics = {}
+    for name in workloads:
+        metrics[name] = {}
+        for policy in policies:
+            multi = runner.execute(runner.spec_workload(name, policy))
+            single_ipcs = [
+                runner.execute(runner.spec_alone(program.name, "pom"))
+                .program(0)
+                .ipc
+                for program in multi.programs
+            ]
+            metrics[name][policy] = WorkloadMetrics.from_results(
+                multi, single_ipcs
+            )
+    return metrics
+
+
 class TestSweepEquivalence:
     def test_streamed_sweep_matches_materialized(self):
         streamed_runner = small_runner(transport="shm", jobs=2)
         streamed = sweep(streamed_runner, POLICIES, WORKLOADS)
         materialized_runner = small_runner()
-        materialized = _materialized_sweep(
+        materialized = materialized_sweep(
             materialized_runner, POLICIES, WORKLOADS
         )
         assert streamed == materialized
