@@ -463,7 +463,6 @@ def _run(args: argparse.Namespace) -> int:
         UnknownPolicyError,
     )
     from repro.exec import SweepFailure, format_failure_table
-    from repro.experiments.paper_report import format_run_stats
     from repro.policies.registry import canonical_policy
 
     # Validate the complete request before simulating anything: a typo
@@ -502,7 +501,9 @@ def _run(args: argparse.Namespace) -> int:
         try:
             result = run_experiment(experiment_id, runner)
         except SweepFailure as error:
-            # The strict single-run path raises too, without --fail-fast.
+            # Without --fail-fast a figure raises only when it cannot
+            # render FAILED rows: every single-program figure, and a
+            # multiprogram figure that needs all its cells.
             reason = "aborted: fail-fast" if args.fail_fast else "aborted"
             print(f"[{experiment_id} {reason}]", file=sys.stderr)
             print(format_failure_table(error.failures), file=sys.stderr)
@@ -526,12 +527,7 @@ def _run(args: argparse.Namespace) -> int:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.strip_dirs().sort_stats("cumulative").print_stats(25)
     if args.verbose:
-        from repro.perf.sweep_bench import peak_rss_mb
-
-        print(format_run_stats(runner))
-        rss = peak_rss_mb()
-        if rss > 0:
-            print(f"parent peak RSS: {rss:,.1f} MiB")
+        _print_run_stats(runner)
     if runner.failures:
         print(format_failure_table(runner.failures), file=sys.stderr)
         print(
@@ -543,11 +539,18 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_run_stats(runner: ExperimentRunner) -> None:
+    """``--verbose``'s closing lines: cache counters, then parent RSS."""
+    from repro.experiments.paper_report import format_run_stats, peak_rss_mb
+
+    print(format_run_stats(runner))
+    rss = peak_rss_mb()
+    if rss > 0:
+        print(f"parent peak RSS: {rss:,.1f} MiB")
+
+
 def _report(args: argparse.Namespace) -> int:
-    from repro.experiments.paper_report import (
-        format_run_stats,
-        generate_experiments_md,
-    )
+    from repro.experiments.paper_report import generate_experiments_md
     from repro.common.errors import ConfigError, InvalidValueError
     from repro.exec import SweepFailure, format_failure_table
     from repro.experiments.store import ResultStore
@@ -562,7 +565,7 @@ def _report(args: argparse.Namespace) -> int:
     try:
         generate_experiments_md(runner, args.output, store=store)
     except SweepFailure as error:
-        # As in ``profess run``: a strict run path, or --fail-fast.
+        # As in ``profess run``: a figure that raises, or --fail-fast.
         reason = "aborted: fail-fast" if args.fail_fast else "aborted"
         print(f"[report {reason}]", file=sys.stderr)
         print(format_failure_table(error.failures), file=sys.stderr)
@@ -572,7 +575,7 @@ def _report(args: argparse.Namespace) -> int:
         return 2
     print(f"wrote {args.output} in {time.time() - started:.0f}s")
     if args.verbose:
-        print(format_run_stats(runner))
+        _print_run_stats(runner)
     return 0
 
 

@@ -7,15 +7,15 @@ Seven layers (see DESIGN.md §9 / §15 / §17):
 * :class:`~repro.exec.cache.ResultCache` — results persisted to disk
   under :meth:`RunSpec.cache_key`, shared across processes and runs,
   integrity-checked on read with corrupt entries quarantined.
-* :class:`~repro.exec.executor.Executor` — batch execution over a
-  process pool with deterministic ordering, per-spec fault isolation,
+* :class:`~repro.exec.executor.Executor` — wave execution over a
+  process pool with a deterministic schedule, per-spec fault isolation,
   retries, wall-clock timeouts, and worker replacement.
 * :mod:`repro.exec.transport` — the shm result transport: workers write
   length-prefixed frames into mmap-backed segments and return small
   handles over the pool pipe instead of pickled result dicts.
-* :mod:`repro.exec.streaming` — wave reducers (``run_wave(...,
-  reducer=...)``) that fold completions as they land, so figure sweeps
-  never materialize a full wave in the parent.
+* :mod:`repro.exec.streaming` — wave reducers: every
+  ``run_wave(specs, reducer)`` folds its completions into one as they
+  land, so the executor never materializes a wave in the parent.
 * :mod:`repro.exec.resilience` — the failure taxonomy
   (:class:`RunFailure`, :class:`RetryPolicy`) and the append-only
   :class:`RunJournal` behind ``profess run --resume``.
@@ -25,12 +25,7 @@ Seven layers (see DESIGN.md §9 / §15 / §17):
 
 from repro.exec.cache import CACHE_VERSION, ResultCache
 from repro.exec.chaos import ChaosError, ChaosPlan, TruncatingResultCache
-from repro.exec.executor import (
-    Executor,
-    RunEvent,
-    WaveResult,
-    execute_spec,
-)
+from repro.exec.executor import Executor, RunEvent, execute_spec
 from repro.exec.resilience import (
     RetryPolicy,
     RunFailure,
@@ -75,7 +70,6 @@ __all__ = [
     "TRANSPORTS",
     "TruncatingResultCache",
     "WaveReducer",
-    "WaveResult",
     "WorkerFailure",
     "build_traces",
     "execute_spec",

@@ -1,7 +1,7 @@
 """Execution engine: fan :class:`RunSpec`\\ s out over processes.
 
 The :class:`Executor` is the single funnel through which simulations
-run.  For every batch it:
+run.  For every wave it:
 
 1. deduplicates specs by content hash (a figure often requests the same
    stand-alone reference run many times),
@@ -11,11 +11,12 @@ run.  For every batch it:
    ``jobs == 1`` or when there is only one run),
 4. persists fresh results to the cache and reports each completion
    through an optional callback, and
-5. returns results in the exact order the specs were submitted,
-   regardless of completion order.
+5. folds each unique spec's result into the wave's
+   :class:`~repro.exec.streaming.WaveReducer` exactly once, in
+   completion order; the executor itself retains no result.
 
 Simulations are deterministic functions of their spec, so a parallel
-batch is bit-identical to a serial one — only wall-clock time changes.
+wave is bit-identical to a serial one — only wall-clock time changes.
 
 Fault isolation (DESIGN.md §15): one crashing worker, one hung spec, or
 one raising simulation never takes the wave down.  Worker exceptions are
@@ -25,10 +26,10 @@ timeouts, ``OSError`` — are re-attempted under a deterministic
 :class:`~repro.exec.resilience.RetryPolicy`, deterministic failures are
 captured as structured :class:`~repro.exec.resilience.RunFailure`
 records, and every submit/complete/fail is journalled so an interrupted
-sweep resumes instead of restarting.  :meth:`Executor.run_wave` returns
-the partial wave (results + failures); :meth:`Executor.run_many` keeps
-the strict contract and raises :class:`~repro.exec.resilience.
-SweepFailure` when anything ultimately failed.
+sweep resumes instead of restarting.  :meth:`Executor.run_wave` folds
+each terminal failure into the reducer too and returns them; only
+``fail_fast`` turns one into a :class:`~repro.exec.resilience.
+SweepFailure` that aborts the wave.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.common.errors import InvalidValueError
@@ -194,27 +195,6 @@ class RunEvent:
 
 
 @dataclass
-class WaveResult:
-    """Outcome of one fault-isolated batch (:meth:`Executor.run_wave`)."""
-
-    #: Results aligned 1:1 with the submitted specs; None where the
-    #: spec's run ultimately failed.
-    results: list[Optional[SimulationResult]]
-    #: One record per distinct failed spec (attempts exhausted).
-    failures: list[RunFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def raise_on_failure(self) -> list[SimulationResult]:
-        """The strict view: all results, or :class:`SweepFailure`."""
-        if self.failures:
-            raise SweepFailure(self.failures)
-        return self.results  # type: ignore[return-value]
-
-
-@dataclass
 class _Flight:
     """One in-flight pool attempt."""
 
@@ -227,20 +207,17 @@ class _Flight:
 
 
 class _WaveSink:
-    """Where one wave's completions land: materialize or stream.
+    """Where one wave's completions land: its reducer, exactly once.
 
-    Without a reducer, results accumulate in ``by_key`` exactly as the
-    materializing wave always did.  With one, each unique key is folded
-    the moment it completes and *nothing is retained* — ``done`` (a set
-    of keys) is the only per-spec state, so parent memory no longer
-    scales with result size.  Either way a key is absorbed at most once,
-    which is the exactly-once guarantee reducers rely on (a salvaged
-    future and its re-queued twin cannot both fold).
+    Each unique key is folded the moment it completes and *nothing is
+    retained* — ``done`` (a set of keys) is the only per-spec state, so
+    parent memory does not scale with result size.  A key is absorbed
+    at most once, which is the exactly-once guarantee reducers rely on
+    (a salvaged future and its re-queued twin cannot both fold).
     """
 
-    def __init__(self, reducer: Optional[WaveReducer] = None) -> None:
+    def __init__(self, reducer: WaveReducer) -> None:
         self.reducer = reducer
-        self.by_key: dict[str, SimulationResult] = {}
         self.done: set[str] = set()
 
     def add(
@@ -249,16 +226,10 @@ class _WaveSink:
         if key in self.done:
             return
         self.done.add(key)
-        if self.reducer is not None:
-            self.reducer.fold(key, spec, result)
-        else:
-            self.by_key[key] = result
+        self.reducer.fold(key, spec, result)
 
     def __contains__(self, key: object) -> bool:
         return key in self.done
-
-    def get(self, key: str) -> Optional[SimulationResult]:
-        return self.by_key.get(key)
 
 
 class Executor:
@@ -306,42 +277,19 @@ class Executor:
         self._session: Optional[ShmSession] = None
 
     # ------------------------------------------------------------------
-    def run(self, spec: RunSpec) -> SimulationResult:
-        """Run (or fetch) a single spec."""
-        return self.run_many([spec])[0]
-
-    def run_many(
-        self,
-        specs: Sequence[RunSpec],
-        reducer: Optional[WaveReducer] = None,
-    ) -> list[SimulationResult]:
-        """Run a batch; results align 1:1 with the submitted specs.
-
-        Strict: raises :class:`SweepFailure` if any spec still failed
-        after retries.  Use :meth:`run_wave` to consume partial waves.
-        With a ``reducer`` the returned list is all-``None`` placeholders
-        (the reducer holds the wave's substance).
-        """
-        return self.run_wave(specs, reducer=reducer).raise_on_failure()
-
     def run_wave(
-        self,
-        specs: Sequence[RunSpec],
-        reducer: Optional[WaveReducer] = None,
-    ) -> WaveResult:
-        """Run a batch with fault isolation; failures never propagate.
+        self, specs: Sequence[RunSpec], reducer: WaveReducer
+    ) -> list[RunFailure]:
+        """Run a wave with fault isolation; failures never propagate.
 
         Every spec either yields a result (cache, serial, or pool) or a
         structured :class:`RunFailure` after its attempt budget runs out;
-        one bad spec cannot take down the others' work.
-
-        With a ``reducer`` the wave *streams*: each unique spec's result
-        is folded exactly once as it completes (cache hits included),
-        every terminal failure is folded through ``fold_failure`` before
-        returning, and ``WaveResult.results`` holds ``None`` placeholders
-        — the parent never retains the wave.
+        one bad spec cannot take down the others' work.  Each unique
+        spec's result is folded into ``reducer`` exactly once as it
+        completes (cache hits included), and every terminal failure is
+        folded through ``fold_failure`` before returning.  Returns the
+        wave's failures, one per failed key.
         """
-        specs = list(specs)
         sink = _WaveSink(reducer)
         # Deduplicate while preserving first-appearance order so the
         # execution schedule (and therefore any progress output) is
@@ -374,13 +322,9 @@ class Executor:
                 if session is not None:
                     session.close()
         self.failures.extend(failures)
-        if reducer is not None:
-            for failure in failures:
-                reducer.fold_failure(failure)
-        return WaveResult(
-            results=[sink.get(spec.cache_key()) for spec in specs],
-            failures=failures,
-        )
+        for failure in failures:
+            reducer.fold_failure(failure)
+        return failures
 
     # ------------------------------------------------------------------
     # Completion / failure bookkeeping

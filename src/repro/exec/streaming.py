@@ -1,9 +1,9 @@
 """Streaming wave aggregation: fold results as completions land.
 
-``Executor.run_wave(specs, reducer=...)`` stops materializing waves: the
-reducer sees each unique spec's result exactly once — in *completion*
-order, which parallel execution does not control — and the wave returns
-only what the reducer accumulated.  The contract every reducer must
+Every ``Executor.run_wave(specs, reducer)`` streams: the reducer sees
+each unique spec's result exactly once — in *completion* order, which
+parallel execution does not control — and holds whatever the wave keeps;
+the executor retains nothing.  The contract every reducer must
 honour (and the property suite enforces for the figure accumulators) is
 **order independence**: folding any permutation of the same completions,
 with any interleaving of failures, must produce the same final state as
@@ -12,8 +12,9 @@ materializing the wave and reducing it afterwards.
 Two building blocks live here:
 
 * :class:`ListReducer` — the materializing reference: collects results
-  into a dict, i.e. exactly what a reducer-less wave would have built.
-  Tests compare any streaming accumulator against it.
+  into a dict keyed by cache key.  ``ExperimentRunner.run_specs`` runs
+  the single-program figures' memoizing waves through it, and tests
+  compare any streaming accumulator against it.
 * :class:`GroupReducer` — refcounted grouping for figure drivers.  A
   figure cell (one workload × policy) needs a small *set* of results
   (the mix run plus each program's stand-alone reference) before it can
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from repro.common.errors import InvalidValueError
-from repro.exec.resilience import RunFailure
+from repro.exec.resilience import RunFailure, SweepFailure
 from repro.exec.spec import RunSpec
 from repro.sim.results import SimulationResult
 
@@ -50,8 +51,9 @@ class WaveReducer(Protocol):
 class ListReducer:
     """The materializing reference reducer: keeps everything.
 
-    Equivalent to a reducer-less wave; exists so tests can state the
-    streaming contract as ``stream(X) == reduce(materialize(X))``.
+    ``by_key`` holds each folded result under its cache key and
+    ``failures`` each failed run once; tests state the streaming
+    contract as ``stream(X) == reduce(materialize(X))`` with it.
     """
 
     def __init__(self) -> None:
@@ -65,6 +67,13 @@ class ListReducer:
 
     def fold_failure(self, failure: RunFailure) -> None:
         self.failures.append(failure)
+
+    def raise_on_failure(self) -> dict[str, SimulationResult]:
+        """The strict view: every result by cache key, or
+        :class:`SweepFailure` naming each failed run once."""
+        if self.failures:
+            raise SweepFailure(self.failures)
+        return self.by_key
 
 
 class GroupReducer:

@@ -38,20 +38,21 @@ def single_program_ratios(
         if not skip_unfittable
         or _fits(runner.spec_single(program, baseline, config=config))
     ]
-    # One parallel wave for the whole figure (18 single-core runs).
-    runner.prefetch(
-        [
-            runner.spec_single(program, scheme, config=config)
-            for program in programs
-            for scheme in (baseline, policy)
-        ]
-    )
-    ratios = {}
-    for program in programs:
-        base = runner.run_single(program, baseline, config=config)
-        new = runner.run_single(program, policy, config=config)
-        ratios[program] = new.program(0).ipc / base.program(0).ipc
-    return ratios
+    specs = {
+        (program, scheme): runner.spec_single(program, scheme, config=config)
+        for program in programs
+        for scheme in (baseline, policy)
+    }
+    # One wave for the whole figure (18 single-core runs).
+    results = runner.run_specs(specs.values()).raise_on_failure()
+    ipc = {
+        case: results[spec.cache_key()].program(0).ipc
+        for case, spec in specs.items()
+    }
+    return {
+        program: ipc[program, policy] / ipc[program, baseline]
+        for program in programs
+    }
 
 
 def _fits(spec: RunSpec) -> bool:

@@ -16,18 +16,20 @@ from repro.workloads.table9 import FIG5_PROGRAMS
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Reproduce Figure 6."""
-    runner.prefetch(
-        [
-            runner.spec_single(program, policy)
-            for program in FIG5_PROGRAMS
-            for policy in ("pom", "mdm")
-        ]
-    )
+    specs = {
+        (program, policy): runner.spec_single(program, policy)
+        for program in FIG5_PROGRAMS
+        for policy in ("pom", "mdm")
+    }
+    results = runner.run_specs(specs.values()).raise_on_failure()
+    m1 = {
+        case: results[spec.cache_key()].program(0).m1_fraction
+        for case, spec in specs.items()
+    }
     rows = []
     ratios = {}
     for program in FIG5_PROGRAMS:
-        pom = runner.run_single(program, "pom").program(0).m1_fraction
-        mdm = runner.run_single(program, "mdm").program(0).m1_fraction
+        pom, mdm = m1[program, "pom"], m1[program, "mdm"]
         ratio = mdm / pom if pom > 0 else float("nan")
         ratios[program] = ratio
         rows.append([program, pom, mdm, ratio])

@@ -14,13 +14,15 @@ from repro.workloads.table9 import FIG5_PROGRAMS
 
 def run(runner: ExperimentRunner) -> ExperimentResult:
     """Reproduce Figure 7."""
-    runner.prefetch(
-        [runner.spec_single(program, "mdm") for program in FIG5_PROGRAMS]
-    )
+    specs = {
+        program: runner.spec_single(program, "mdm")
+        for program in FIG5_PROGRAMS
+    }
+    results = runner.run_specs(specs.values()).raise_on_failure()
     rows = []
     rates = {}
-    for program in FIG5_PROGRAMS:
-        rate = runner.run_single(program, "mdm").stc_hit_rate
+    for program, spec in specs.items():
+        rate = results[spec.cache_key()].stc_hit_rate
         rates[program] = rate
         rows.append([program, 100 * rate])
     irregular_lower = rates["omnetpp"] < rates["mcf"] < max(

@@ -47,11 +47,11 @@ def stc_size_sweep(runner: ExperimentRunner) -> dict[str, dict[float, object]]:
         for program in FIG5_PROGRAMS
         for factor, config in configs.items()
     }
-    runner.prefetch(list(specs.values()))
-    results: dict[str, dict[float, object]] = {}
+    results = runner.run_specs(specs.values()).raise_on_failure()
+    sweep: dict[str, dict[float, object]] = {}
     for (program, factor), spec in specs.items():
-        results.setdefault(program, {})[factor] = runner.execute(spec)
-    return results
+        sweep.setdefault(program, {})[factor] = results[spec.cache_key()]
+    return sweep
 
 
 def run(runner: ExperimentRunner) -> ExperimentResult:

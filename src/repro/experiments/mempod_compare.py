@@ -25,26 +25,33 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
         for name in FAIRNESS_DETAIL_WORKLOADS
         for policy in POLICIES
     }
+    singles = {
+        (program, policy): runner.spec_single(program, policy)
+        for program in FIG5_PROGRAMS
+        for policy in POLICIES
+    }
     # Only the mix runs' AMMAT is needed, not a cell's stand-alone
     # references.  A mix an earlier figure computed as a cell left only
     # its metrics behind (the cell path memoizes no mix run): read those.
     cells = {case: runner.cached_cell(spec) for case, spec in mixes.items()}
-    runner.prefetch(
-        [runner.spec_single(p, s) for p in FIG5_PROGRAMS for s in POLICIES]
+    results = runner.run_specs(
+        [*singles.values()]
         + [spec for case, spec in mixes.items() if cells[case] is None]
-    )
+    ).raise_on_failure()
     rows = []
     single_ratios = {}
     for program in FIG5_PROGRAMS:
-        pom = runner.run_single(program, "pom").average_read_latency
-        mempod = runner.run_single(program, "mempod").average_read_latency
+        pom, mempod = (
+            results[singles[program, policy].cache_key()].average_read_latency
+            for policy in POLICIES
+        )
         ratio = mempod / pom if pom else float("nan")
         single_ratios[program] = ratio
         rows.append(["single", program, pom, mempod, ratio])
     multi_ratios = {}
     for name in FAIRNESS_DETAIL_WORKLOADS:
         pom, mempod = (
-            runner.execute(mixes[name, policy]).average_read_latency
+            results[mixes[name, policy].cache_key()].average_read_latency
             if cells[name, policy] is None
             else cells[name, policy].metrics.average_read_latency
             for policy in POLICIES

@@ -9,6 +9,7 @@ module (see the header it writes).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -212,8 +213,10 @@ def _header(description: str) -> list[str]:
         "from the cache (integrity-checked; corrupt entries are moved to",
         "`.cache/quarantine/` once and re-simulated), and only failures",
         "and pending work re-execute.  Runs that still fail after the",
-        "retry budget render as FAILED rows with a failure table on",
-        "stderr (exit 1) rather than aborting the sweep; add",
+        "retry budget print a failure table on stderr (exit 1): in",
+        "Figures 10-15 they render as FAILED rows rather than aborting",
+        "the sweep, while a figure that needs every run (fig16, every",
+        "single-program figure) aborts once its wave ends; add",
         "`--fail-fast` to abort on the first failure instead.  See",
         "DESIGN.md §15 for the full failure-handling contract.",
         "",
@@ -304,7 +307,8 @@ def format_run_stats(runner: ExperimentRunner) -> str:
     line = (
         f"cache: disk hits={stats['disk_hits']} "
         f"misses={stats['disk_misses']} stores={stats['disk_stores']} "
-        f"memory hits={stats['memory_hits']}; "
+        f"memory hits={stats['memory_hits']} "
+        f"cell memory hits={stats['metrics_memory_hits']}; "
         f"simulations executed: {stats['executed']}"
     )
     resilience = {
@@ -316,6 +320,24 @@ def format_run_stats(runner: ExperimentRunner) -> str:
         extras = " ".join(f"{k}={v}" for k, v in resilience.items())
         line += f"; resilience: {extras}"
     return line
+
+
+def peak_rss_mb() -> float:
+    """This process's lifetime peak resident set size, in MiB.
+
+    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; a platform
+    without :mod:`resource` (Windows) reports 0.0, which omits the
+    ``--verbose`` RSS line and disables the sweep benchmark's RSS gate
+    rather than failing it.
+    """
+    try:
+        import resource
+    except ImportError:
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0
 
 
 def render_from_store(

@@ -14,10 +14,11 @@ Two cache layers sit behind every request:
   that survives process exit and is shared across CLI runs, benchmark
   sessions, and CI.
 
-With ``jobs > 1``, each figure's wave (:meth:`ExperimentRunner.prefetch`
-for single-program runs, :meth:`ExperimentRunner.run_cells` for
-multiprogram cells) fans out over a process pool with results identical
-to serial execution.
+Every figure submits its runs as one streamed wave
+(:meth:`ExperimentRunner.run_specs` for single-program runs,
+:meth:`ExperimentRunner.run_cells` for multiprogram cells); with
+``jobs > 1`` it fans out over a process pool with results identical to
+serial execution.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.exec import (
 )
 from repro.exec.resilience import JournalState
 from repro.exec.spec import workload_traces as _workload_traces
-from repro.exec.streaming import WaveReducer
+from repro.exec.streaming import ListReducer, WaveReducer
 from repro.experiments.accumulators import (
     Cell,
     CellMetrics,
@@ -61,6 +62,12 @@ DEFAULT_SCALE = 64
 #: Default trace length per program (requests).
 DEFAULT_MULTI_REQUESTS = 50_000
 DEFAULT_SINGLE_REQUESTS = 60_000
+#: Policy whose stand-alone runs provide IPC_SP in Eq. (1) for every
+#: cell.  Referencing every scheme's slowdowns to the PoM baseline's
+#: uncontended IPCs is the only reading under which the paper's Figure 5
+#: (+14% single-program) and Figure 11 (+7% multiprogram weighted
+#: speedup) are mutually consistent.
+SP_REFERENCE = "pom"
 
 
 class ExperimentRunner:
@@ -73,7 +80,6 @@ class ExperimentRunner:
         single_requests: int = DEFAULT_SINGLE_REQUESTS,
         seed: int = 0,
         verbose: bool = False,
-        sp_reference: Optional[str] = "pom",
         jobs: int = 1,
         cache_dir: Optional[str | Path] = None,
         validate_every: int = 0,
@@ -91,13 +97,6 @@ class ExperimentRunner:
         self.single_requests = single_requests
         self.seed = seed
         self.verbose = verbose
-        #: Policy whose stand-alone runs provide IPC_SP in Eq. (1).  The
-        #: default references every scheme's slowdowns to the PoM
-        #: baseline's uncontended IPCs, which is the only reading under
-        #: which the paper's Figure 5 (+14% single-program) and Figure 11
-        #: (+7% multiprogram weighted speedup) are mutually consistent.
-        #: Pass None to use each scheme's own stand-alone runs instead.
-        self.sp_reference = sp_reference
         self.jobs = jobs
         #: Forwarded to every spec this runner builds: audit controller
         #: invariants every N cycles during simulation (0 = off).
@@ -147,13 +146,13 @@ class ExperimentRunner:
         self._memory: dict[str, SimulationResult] = {}
         #: Batch requests served from the in-process memo.
         self.memory_hits = 0
-        #: Computed figure cells, keyed by (mix cache key, reference
-        #: policy).  A CellMetrics is a few floats, so this memo can hold
-        #: an entire multi-figure session — it is what lets fig10 feed
-        #: fig11..15 without re-simulating (or re-reading the disk cache
-        #: for) a single run, though :meth:`run_cells` never memoizes a
-        #: mix result.
-        self._metrics_memory: dict[tuple[str, str], CellMetrics] = {}
+        #: Computed figure cells, keyed by their mix run's cache key.  A
+        #: CellMetrics is a few floats, so this memo can hold an entire
+        #: multi-figure session — it is what lets fig10 feed fig11..15
+        #: without re-simulating (or re-reading the disk cache for) a
+        #: single run, though :meth:`run_cells` never memoizes a mix
+        #: result.
+        self._metrics_memory: dict[str, CellMetrics] = {}
         #: Cells served from the metrics memo.
         self.metrics_memory_hits = 0
 
@@ -268,10 +267,9 @@ class ExperimentRunner:
         """Every spec one cell needs: the mix run, then the stand-alone
         reference run Eq. (1) divides by for each distinct program."""
         config = config or self.quad_config()
-        reference = self.sp_reference or policy
         specs = [self.spec_mix(programs, policy, config)]
         specs.extend(
-            self.spec_alone(program, reference, config)
+            self.spec_alone(program, SP_REFERENCE, config)
             for program in dict.fromkeys(programs)
         )
         return specs
@@ -288,56 +286,38 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, spec: RunSpec) -> SimulationResult:
-        """Run (or fetch) one spec; repeated requests return the same
-        object within this runner."""
-        key = spec.cache_key()
-        cached = self._memory.get(key)
-        if cached is not None:
-            self.memory_hits += 1
-            return cached
-        result = self.executor.run(spec)
-        self._memory[key] = result
-        return result
+    def run_specs(self, specs: Iterable[RunSpec]) -> ListReducer:
+        """Run specs as one memoizing wave; returns its reducer.
 
-    def prefetch(self, specs: Sequence[RunSpec]) -> None:
-        """Batch a whole figure's runs into one parallel wave.
-
-        Deduplicates, skips anything already memoized, executes the rest
-        through the executor (process pool when ``jobs > 1``), and
-        memoizes the results so subsequent :meth:`execute` calls are
-        in-process hits.
-
-        Failures do not abort the wave: successful runs are memoized,
-        failed keys are recorded on the executor (see :meth:`failures`)
-        and surface only when a figure actually needs them — the figure
-        drivers consume partial waves and mark those rows as FAILED.
+        ``by_key`` then maps each cache key to its result, ``failures``
+        holds each failed run once, and ``raise_on_failure()`` is the
+        strict view.  A failure never aborts the wave, and every spec is
+        attempted once per retry budget.  Every result the wave folds is
+        memoized, so a later wave re-simulates none of them (fig6, fig7
+        and the sensitivities reuse fig5's runs) and the memo preserves
+        object identity within this runner.
         """
-        fresh: dict[str, RunSpec] = {}
-        for spec in specs:
-            key = spec.cache_key()
-            if key not in self._memory:
-                fresh.setdefault(key, spec)
-        if not fresh:
-            return
-        wave = self.executor.run_wave(list(fresh.values()))
-        for key, result in zip(fresh, wave.results):
-            if result is not None:
-                self._memory[key] = result
+        wave = ListReducer()
+        self.run_streamed(specs, wave)
+        self._memory.update(wave.by_key)
+        return wave
+
+    def execute(self, spec: RunSpec) -> SimulationResult:
+        """Run (or fetch) one spec: a one-spec :meth:`run_specs` that
+        raises :class:`SweepFailure` if the run failed."""
+        return self.run_specs([spec]).raise_on_failure()[spec.cache_key()]
 
     def run_streamed(
-        self, specs: Sequence[RunSpec], reducer: WaveReducer
+        self, specs: Iterable[RunSpec], reducer: WaveReducer
     ) -> None:
         """Run a wave through a streaming reducer (DESIGN.md §17).
 
-        The memory-bounded counterpart of :meth:`prefetch`: each unique
-        spec's result is folded into ``reducer`` exactly once as it
-        completes — from the in-process memo immediately, from the disk
-        cache or a simulation as the executor delivers it — and is *not*
-        memoized afterwards, so parent memory scales with the reducer's
+        Each unique spec's result is folded into ``reducer`` exactly once
+        as it completes — from the in-process memo immediately, from the
+        disk cache or a simulation as the executor delivers it — and is
+        *not* memoized here, so parent memory scales with the reducer's
         frontier instead of the wave.  Terminal failures fold through
-        ``reducer.fold_failure``; like :meth:`prefetch`, they never
-        abort the wave.
+        ``reducer.fold_failure``; they never abort the wave.
         """
         fresh: dict[str, RunSpec] = {}
         folded: set[str] = set()
@@ -353,7 +333,7 @@ class ExperimentRunner:
             else:
                 fresh[key] = spec
         if fresh:
-            self.executor.run_wave(list(fresh.values()), reducer=reducer)
+            self.executor.run_wave(list(fresh.values()), reducer)
 
     def run_cells(self, cells: Iterable[Cell]) -> StreamedMetricsSweep:
         """Compute a figure's cells (see :meth:`metric_specs`) in one
@@ -370,7 +350,7 @@ class ExperimentRunner:
         """
         sweep = StreamedMetricsSweep()
         wave: list[RunSpec] = []
-        declared: dict[str, tuple[str, str]] = {}
+        declared: dict[str, str] = {}
         for cell_id, programs, policy, config in cells:
             if cell_id in declared:
                 continue
@@ -379,7 +359,7 @@ class ExperimentRunner:
             if held is not None:
                 sweep.cells[cell_id] = held
                 continue
-            declared[cell_id] = self._cell_key(specs[0])
+            declared[cell_id] = specs[0].cache_key()
             sweep.add_cell(cell_id, specs)
             wave.extend(specs)
         self.run_streamed(wave, sweep)
@@ -391,13 +371,10 @@ class ExperimentRunner:
 
     def cached_cell(self, mix_spec: RunSpec) -> Optional[CellMetrics]:
         """The memoized cell of this mix run, if a figure computed it."""
-        cell = self._metrics_memory.get(self._cell_key(mix_spec))
+        cell = self._metrics_memory.get(mix_spec.cache_key())
         if cell is not None:
             self.metrics_memory_hits += 1
         return cell
-
-    def _cell_key(self, mix_spec: RunSpec) -> tuple[str, str]:
-        return (mix_spec.cache_key(), self.sp_reference or mix_spec.policy)
 
     def _on_run(self, event: RunEvent) -> None:
         if self.verbose:
@@ -417,6 +394,7 @@ class ExperimentRunner:
         stats = {
             "executed": self.executor.executed,
             "memory_hits": self.memory_hits,
+            "metrics_memory_hits": self.metrics_memory_hits,
             "disk_hits": self.cache.hits if self.cache else 0,
             "disk_misses": self.cache.misses if self.cache else 0,
             "disk_stores": self.cache.stores if self.cache else 0,
@@ -494,9 +472,7 @@ class ExperimentRunner:
         """Slowdowns / weighted speedup / unfairness for one workload.
 
         Eq. (1)'s IPC_SP comes from stand-alone runs under
-        :attr:`sp_reference` (default: the PoM baseline for every scheme,
-        so normalized comparisons reflect the multiprogram behaviour; see
-        the constructor docstring), or under ``policy`` itself when
-        ``sp_reference`` is None.
+        :data:`SP_REFERENCE` for every scheme, so normalized comparisons
+        reflect the multiprogram behaviour.
         """
         return self.mix_metrics(WORKLOADS[workload_name], policy, config)

@@ -35,12 +35,12 @@ def run(runner: ExperimentRunner) -> ExperimentResult:
             specs[program, paper_m_samp] = runner.spec_single(
                 program, "pom", config=config, track_rsm_regions=True
             )
-    runner.prefetch(list(specs.values()))
+    results = runner.run_specs(specs.values()).raise_on_failure()
     rows = []
     summary = {}
     for (program, paper_m_samp), spec in specs.items():
         m_samp = spec.config.rsm.m_samp
-        result = runner.execute(spec)
+        result = results[spec.cache_key()]
         samples = [s for s in result.extra["rsm_history"] if s.program == 0]
         sigma_req = [s.sigma_req for s in samples if s.sigma_req is not None]
         raw = [s.raw_sf_a for s in samples if s.raw_sf_a is not None]

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional
@@ -33,6 +32,7 @@ from repro.common.config import paper_single_core
 from repro.exec.executor import Executor
 from repro.exec.resilience import RunFailure
 from repro.exec.spec import RunSpec
+from repro.experiments.paper_report import peak_rss_mb
 from repro.sim.results import SimulationResult
 
 SWEEP_SCHEMA_VERSION = 1
@@ -48,23 +48,6 @@ SWEEP_POLICIES = ("pom", "mdm")
 #: supports (beyond it, regions drop under two swap-group pairs).
 SWEEP_SCALE = 128
 SWEEP_REQUESTS = 300
-
-
-def peak_rss_mb() -> float:
-    """This process's lifetime peak resident set size, in MiB.
-
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; a platform
-    without :mod:`resource` (Windows) reports 0.0, which disables the
-    RSS gate rather than failing it.
-    """
-    try:
-        import resource
-    except ImportError:
-        return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
 
 
 def build_sweep_specs(count: int = 200) -> list[RunSpec]:

@@ -21,6 +21,7 @@ import pytest
 from repro.common.config import paper_single_core
 from repro.exec import (
     Executor,
+    ListReducer,
     ResultCache,
     RetryPolicy,
     RunJournal,
@@ -86,15 +87,21 @@ def find_truncating_cache(
     raise AssertionError("no seed truncates a completing key")
 
 
+def strict_digests(executor: Executor, specs: list[RunSpec]) -> dict:
+    """cache key -> result digest of one wave folded through the
+    materializing reducer; raises SweepFailure if any spec failed."""
+    wave = ListReducer()
+    executor.run_wave(specs, wave)
+    return {
+        key: result_digest(result)
+        for key, result in wave.raise_on_failure().items()
+    }
+
+
 @pytest.fixture(scope="module")
 def clean_digests():
     """Digest of every spec's result from an uninjected serial run."""
-    specs = all_specs()
-    results = Executor(jobs=1).run_many(specs)
-    return {
-        spec.cache_key(): result_digest(result)
-        for spec, result in zip(specs, results)
-    }
+    return strict_digests(Executor(jobs=1), all_specs())
 
 
 class TestFatalInjectionAndResume:
@@ -123,12 +130,15 @@ class TestFatalInjectionAndResume:
             journal=journal,
             chaos=plan,
         )
-        wave = executor.run_wave(specs)
-        assert {f.key for f in wave.failures} == raise_keys
-        assert all(f.error_type == "ChaosError" for f in wave.failures)
-        assert all(not f.retryable for f in wave.failures)
-        assert all(f.attempts == 1 for f in wave.failures)  # never retried
-        for spec, result in zip(specs, wave.results):
+        wave = ListReducer()
+        failures = executor.run_wave(specs, wave)
+        assert wave.failures == failures
+        assert {f.key for f in failures} == raise_keys
+        assert all(f.error_type == "ChaosError" for f in failures)
+        assert all(not f.retryable for f in failures)
+        assert all(f.attempts == 1 for f in failures)  # never retried
+        for spec in specs:
+            result = wave.by_key.get(spec.cache_key())
             if spec.cache_key() in raise_keys:
                 assert result is None
             else:
@@ -147,11 +157,7 @@ class TestFatalInjectionAndResume:
         # resume is a fresh run without chaos).
         resume_cache = ResultCache(cache_dir)
         resumed = Executor(jobs=4, cache=resume_cache, journal=journal)
-        final = resumed.run_many(specs)
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, final)
-        } == clean_digests
+        assert strict_digests(resumed, specs) == clean_digests
         assert resume_cache.quarantined == len(truncated)
         assert resume_cache.quarantine_count() == len(truncated)
         assert resumed.executed == len(raise_keys) + len(truncated)
@@ -161,14 +167,11 @@ class TestFatalInjectionAndResume:
         # nothing new quarantines (corrupt entries cost one quarantine).
         warm_cache = ResultCache(cache_dir)
         warm = Executor(jobs=4, cache=warm_cache, journal=journal)
-        again = warm.run_many(specs)
+        again = strict_digests(warm, specs)
         assert warm.executed == 0
         assert warm_cache.quarantined == 0
         assert warm_cache.quarantine_count() == len(truncated)
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, again)
-        } == clean_digests
+        assert again == clean_digests
 
 
 class TestTransientRecovery:
@@ -184,10 +187,7 @@ class TestTransientRecovery:
             run_timeout=1.0,
             chaos=plan,
         )
-        results = executor.run_many(specs)  # raises if anything failed
+        digests = strict_digests(executor, specs)  # raises on failure
         assert executor.failures == []
         assert executor.retried >= 1  # at least one fault was absorbed
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, results)
-        } == clean_digests
+        assert digests == clean_digests

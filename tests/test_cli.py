@@ -184,8 +184,8 @@ class TestMain:
         self, fail_fast, monkeypatch, capsys
     ):
         # Every simulation fails: without --fail-fast the wave finishes
-        # and the figure's strict single-run path raises SweepFailure;
-        # with it, the first failure aborts the wave.
+        # and the figure raises one SweepFailure naming each of its 18
+        # runs once; with it, the first failure aborts the wave.
         from repro.common.errors import SimulationError
         from repro.exec import executor
 
@@ -200,6 +200,8 @@ class TestMain:
         err = capsys.readouterr().err
         expected = "[fig5 aborted: fail-fast]" if fail_fast else "[fig5 aborted]"
         assert err.splitlines()[0] == expected
+        failed = 1 if fail_fast else 18
+        assert err.splitlines()[1] == f"{failed} failed run(s):"
         assert "SimulationError" in err
 
     @pytest.mark.parametrize("fail_fast", [False, True])
@@ -251,10 +253,31 @@ class TestMain:
         cold = capsys.readouterr().out
         assert "simulations executed:" in cold
         assert "simulations executed: 0" not in cold
+        assert "cell memory hits=0; simulations executed:" in cold
+        assert "parent peak RSS:" in cold
         # Second invocation: everything served from the disk cache.
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert "simulations executed: 0" in warm
+
+    def test_report_verbose_prints_counters_and_peak_rss(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # ``report --verbose`` closes like ``run --verbose``: the cache
+        # counter line, then the parent's peak RSS.
+        from repro.experiments import paper_report
+
+        monkeypatch.setattr(
+            paper_report, "generate_experiments_md",
+            lambda runner, output, store=None: "",
+        )
+        argv = ["report", "--scale", "128", "--requests", "300",
+                "--single-requests", "300", "--verbose",
+                "--output", str(tmp_path / "out.md")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith("simulations executed: 0")
+        assert lines[-1].startswith("parent peak RSS: ")
 
     def test_run_writes_report(self, tmp_path, capsys):
         code = main(

@@ -13,6 +13,7 @@ from repro.common.config import (
 from repro.exec import (
     CACHE_VERSION,
     Executor,
+    ListReducer,
     ResultCache,
     RunSpec,
     execute_spec,
@@ -52,6 +53,15 @@ def spec(**overrides) -> RunSpec:
     )
     base.update(overrides)
     return RunSpec(**base)
+
+
+def run_strict(executor: Executor, specs: list[RunSpec]) -> list:
+    """Fold one wave through the materializing reducer; results in
+    submission order, or SweepFailure if any spec failed."""
+    wave = ListReducer()
+    executor.run_wave(specs, wave)
+    results = wave.raise_on_failure()
+    return [results[spec.cache_key()] for spec in specs]
 
 
 #: Every field ``cache_key()`` digests, straight from the dataclass.
@@ -333,21 +343,21 @@ class TestExecutor:
 
     def test_results_align_with_submission_order(self):
         specs = self._specs()
-        results = Executor(jobs=1).run_many(specs)
+        results = run_strict(Executor(jobs=1), specs)
         assert [r.policy for r in results] == ["pom", "mdm", "pom", "mdm"]
         assert results[0].program(0).name == "zeusmp"
         assert results[2].program(0).name == "lbm"
 
     def test_duplicates_execute_once(self):
         executor = Executor(jobs=1)
-        results = executor.run_many([spec(), spec(), spec()])
+        results = run_strict(executor, [spec(), spec(), spec()])
         assert executor.executed == 1
         assert results[0] is results[1] is results[2]
 
     def test_parallel_identical_to_serial(self):
         specs = self._specs()
-        serial = Executor(jobs=1).run_many(specs)
-        parallel = Executor(jobs=2).run_many(specs)
+        serial = run_strict(Executor(jobs=1), specs)
+        parallel = run_strict(Executor(jobs=2), specs)
         assert [r.to_dict() for r in serial] == [
             r.to_dict() for r in parallel
         ]
@@ -356,15 +366,15 @@ class TestExecutor:
         events = []
         cache = ResultCache(tmp_path)
         executor = Executor(jobs=1, cache=cache, on_run=events.append)
-        executor.run(spec())
+        run_strict(executor, [spec()])
         executor2 = Executor(jobs=1, cache=cache, on_run=events.append)
-        executor2.run(spec())
+        run_strict(executor2, [spec()])
         assert [e.source for e in events] == ["serial", "cache"]
         assert executor2.executed == 0
 
 
 class TestRunnerIntegration:
-    def test_prefetch_memoizes(self):
+    def test_run_specs_memoizes(self):
         runner = ExperimentRunner(
             scale=SCALE, multi_requests=600, single_requests=600
         )
@@ -372,7 +382,7 @@ class TestRunnerIntegration:
             runner.spec_single("zeusmp", "pom"),
             runner.spec_single("zeusmp", "mdm"),
         ]
-        runner.prefetch(specs)
+        runner.run_specs(specs)
         assert runner.executor.executed == 2
         first = runner.run_single("zeusmp", "pom")
         assert runner.executor.executed == 2  # served from the memo

@@ -143,37 +143,65 @@ class TestSmallDrivers:
             assert sdn > 0
 
 
-class TestCellPath:
-    """The one path that computes multiprogram cells (run_cells)."""
+def _mix_case(runner):
+    """A one-cell multiprogram call whose mix run fails."""
+    return (
+        runner.spec_workload("w16", "pom"),
+        lambda: runner.workload_metrics("w16", "pom"),
+    )
 
+
+def _single_case(runner):
+    """A single-program figure one of whose runs fails."""
+    return (
+        runner.spec_single("mcf", "mdm"),
+        lambda: run_experiment("fig7", runner),
+    )
+
+
+class TestCellPath:
+    """The two wave paths: run_cells for multiprogram cells, run_specs
+    for single-program figures."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param(_mix_case, id="mix"),
+            pytest.param(_single_case, id="single"),
+        ],
+    )
     def test_failed_mix_is_attempted_once_per_retry_budget(
-        self, monkeypatch
+        self, case, monkeypatch
     ):
         simulate = executor_module.execute_spec
         attempts = collections.Counter()
+        runner = ExperimentRunner(
+            scale=128, multi_requests=300, single_requests=300, retries=1
+        )
+        victim, run_figure = case(runner)
+        key = victim.cache_key()
 
         def flaky(spec):
-            if spec.kind == "multi":
+            if spec.describe() == victim.describe():
                 attempts[spec.cache_key()] += 1
                 # Retryable (an OSError), so it spends the whole budget.
                 raise ChaosKilledError("injected")
             return simulate(spec)
 
         monkeypatch.setattr(executor_module, "execute_spec", flaky)
-        runner = ExperimentRunner(
-            scale=128, multi_requests=300, single_requests=300, retries=1
-        )
-        key = runner.spec_workload("w16", "pom").cache_key()
         with pytest.raises(SweepFailure) as caught:
-            runner.workload_metrics("w16", "pom")
+            run_figure()
         assert attempts == {key: 2}
         assert [failure.key for failure in runner.failures] == [key]
         assert [failure.key for failure in caught.value.failures] == [key]
 
     def test_session_simulates_no_spec_twice(self):
         # The memo rule: stand-alone reference runs are shared by every
-        # cell on a config, and mempod-vs-pom reads fig2's PoM mixes from
-        # its cells, so no spec of this session is simulated twice.
+        # cell on a config, mempod-vs-pom reads fig2's PoM mixes from
+        # its cells, and every single-program result is memoized (fig5
+        # reuses mempod-vs-pom's PoM runs, fig6-fig9 and sens-twr reuse
+        # earlier figures' runs), so no spec of this session is
+        # simulated twice.
         runner = ExperimentRunner(
             scale=128, multi_requests=300, single_requests=300, seed=0
         )
@@ -182,10 +210,11 @@ class TestCellPath:
             [event.spec.cache_key()]
         )
         for experiment_id in (
-            "fig2", "fig10", "fig13", "ext-rsm-pom", "mempod-vs-pom"
+            "fig2", "fig10", "fig13", "ext-rsm-pom", "mempod-vs-pom",
+            "fig5", "fig6", "fig7", "fig8", "fig9", "table4", "sens-twr",
         ):
             run_experiment(experiment_id, runner)
-        assert len(runs) == runner.executor.executed > 0
+        assert len(runs) == runner.executor.executed == 181
         assert set(runs.values()) == {1}
 
     def test_sens_ratio_skips_programs_that_do_not_fit(self):

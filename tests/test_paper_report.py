@@ -81,3 +81,23 @@ class TestRenderFromStore:
         store = ResultStore(tmp_path / "store")
         text = paper_report.render_from_store(store, tmp_path / "E.md")
         assert "(no stored result)" in text
+
+
+class TestRunStats:
+    def test_cell_memory_hits_are_reported(self):
+        # The second call of the same cell is served from the cell memo,
+        # and the counter precedes the executed count on the stats line.
+        runner = ExperimentRunner(
+            scale=128, multi_requests=300, single_requests=300
+        )
+        runner.workload_metrics("w16", "pom")
+        runner.workload_metrics("w16", "pom")
+        assert runner.run_stats()["metrics_memory_hits"] == 1
+        executed = runner.executor.executed
+        assert executed == 4  # the mix and three distinct references
+        assert paper_report.format_run_stats(runner).endswith(
+            f"cell memory hits=1; simulations executed: {executed}"
+        )
+
+    def test_peak_rss_is_positive_here(self):
+        assert paper_report.peak_rss_mb() > 0

@@ -15,6 +15,7 @@ from repro.common.config import paper_single_core
 from repro.common.errors import InvalidValueError, SimulationError
 from repro.exec import (
     Executor,
+    ListReducer,
     ResultCache,
     RetryPolicy,
     RunJournal,
@@ -52,6 +53,15 @@ def spec(program="zeusmp", policy="pom", **overrides) -> RunSpec:
 def retry_free() -> RetryPolicy:
     """A no-wait policy so retry tests spend zero time sleeping."""
     return RetryPolicy(retries=1, backoff_base=0.0)
+
+
+def run_strict(executor: Executor, specs: list[RunSpec]) -> list:
+    """Fold one wave through the materializing reducer; results in
+    submission order, or SweepFailure if any spec failed."""
+    wave = ListReducer()
+    executor.run_wave(specs, wave)
+    results = wave.raise_on_failure()
+    return [results[spec.cache_key()] for spec in specs]
 
 
 class TestRetryTaxonomy:
@@ -198,9 +208,9 @@ class TestRunJournal:
 class TestExecutorRetries:
     def test_serial_kill_injection_recovers_on_retry(self):
         chaos = ChaosPlan(seed=0, kill_rate=1.0)
-        clean = Executor(jobs=1).run(spec())
+        [clean] = run_strict(Executor(jobs=1), [spec()])
         executor = Executor(jobs=1, retry=retry_free(), chaos=chaos)
-        result = executor.run(spec())
+        [result] = run_strict(executor, [spec()])
         assert result.to_dict() == clean.to_dict()
         assert executor.retried == 1
         assert executor.failures == []
@@ -211,27 +221,28 @@ class TestExecutorRetries:
         # not propagate the exception.
         chaos = ChaosPlan(seed=0, raise_rate=1.0)
         executor = Executor(jobs=1, retry=retry_free(), chaos=chaos)
-        wave = executor.run_wave([spec(), spec("lbm")])
-        assert wave.results == [None, None]
-        assert not wave.ok
-        assert [f.error_type for f in wave.failures] == [
+        wave = ListReducer()
+        failures = executor.run_wave([spec(), spec("lbm")], wave)
+        assert wave.by_key == {}
+        assert failures
+        assert [f.error_type for f in failures] == [
             "ChaosError", "ChaosError",
         ]
-        assert all(f.attempts == 1 for f in wave.failures)  # never retried
+        assert all(f.attempts == 1 for f in failures)  # never retried
         assert executor.retried == 0
 
-    def test_run_many_raises_sweep_failure(self):
+    def test_strict_view_raises_sweep_failure(self):
         chaos = ChaosPlan(seed=0, raise_rate=1.0)
         executor = Executor(jobs=1, chaos=chaos)
         with pytest.raises(SweepFailure) as excinfo:
-            executor.run_many([spec()])
+            run_strict(executor, [spec()])
         assert excinfo.value.failures[0].error_type == "ChaosError"
 
     def test_fail_fast_aborts_the_wave(self):
         chaos = ChaosPlan(seed=0, raise_rate=1.0)
         executor = Executor(jobs=1, chaos=chaos, fail_fast=True)
         with pytest.raises(SweepFailure):
-            executor.run_wave([spec(), spec("lbm")])
+            executor.run_wave([spec(), spec("lbm")], ListReducer())
         assert len(executor.failures) == 1  # aborted before the second
 
     def test_retry_budget_exhaustion_records_attempts(self):
@@ -239,9 +250,9 @@ class TestExecutorRetries:
         # once the budget runs out, and the record counts the attempts.
         chaos = ChaosPlan(seed=0, kill_rate=1.0, inject_attempts=99)
         executor = Executor(jobs=1, retry=retry_free(), chaos=chaos)
-        wave = executor.run_wave([spec()])
-        assert wave.results == [None]
-        failure = wave.failures[0]
+        wave = ListReducer()
+        [failure] = executor.run_wave([spec()], wave)
+        assert wave.by_key == {}
         assert failure.error_type == "ChaosKilledError"
         assert failure.attempts == 2
         assert failure.retryable is True
@@ -249,12 +260,12 @@ class TestExecutorRetries:
     def test_pool_worker_death_recovers_and_matches_serial(self):
         chaos = ChaosPlan(seed=0, kill_rate=1.0)
         specs = [spec(), spec("lbm"), spec("mcf")]
-        clean = Executor(jobs=1).run_many(specs)
+        clean = run_strict(Executor(jobs=1), specs)
         executor = Executor(
             jobs=2, retry=RetryPolicy(retries=3, backoff_base=0.0),
             chaos=chaos,
         )
-        survived = executor.run_many(specs)
+        survived = run_strict(executor, specs)
         assert [r.to_dict() for r in survived] == [
             r.to_dict() for r in clean
         ]
@@ -266,18 +277,19 @@ class TestExecutorRetries:
             jobs=2, run_timeout=0.5, retry=RetryPolicy(retries=0),
             chaos=chaos,
         )
-        wave = executor.run_wave([spec(), spec("lbm")])
-        assert wave.results == [None, None]
-        assert {f.error_type for f in wave.failures} == {"SpecTimeoutError"}
-        assert all(f.retryable for f in wave.failures)
+        wave = ListReducer()
+        failures = executor.run_wave([spec(), spec("lbm")], wave)
+        assert wave.by_key == {}
+        assert {f.error_type for f in failures} == {"SpecTimeoutError"}
+        assert all(f.retryable for f in failures)
 
     def test_pool_timeout_recovers_on_retry(self):
         chaos = ChaosPlan(seed=0, stall_rate=1.0, stall_seconds=30.0)
-        clean = Executor(jobs=1).run(spec())
+        [clean] = run_strict(Executor(jobs=1), [spec()])
         executor = Executor(
             jobs=2, run_timeout=0.5, retry=retry_free(), chaos=chaos
         )
-        results = executor.run_many([spec(), spec("lbm")])
+        results = run_strict(executor, [spec(), spec("lbm")])
         assert results[0].to_dict() == clean.to_dict()
         assert executor.retried >= 2
 
@@ -291,11 +303,10 @@ class TestExecutorRetries:
         )
         good = spec()
         executor.chaos = None
-        executor.run(good)
+        run_strict(executor, [good])
         bad = spec("lbm")
         executor.chaos = chaos
-        wave = executor.run_wave([bad])
-        assert not wave.ok
+        assert executor.run_wave([bad], ListReducer())
         state = journal.replay()
         assert state.completed == {good.cache_key()}
         assert set(state.failed) == {bad.cache_key()}
@@ -303,7 +314,8 @@ class TestExecutorRetries:
         # re-attempts the failed one (no chaos now): the journal's failed
         # set drains to empty.
         resumed = Executor(jobs=1, cache=cache, journal=journal)
-        results = resumed.run_many([good, bad])
+        results = run_strict(resumed, [good, bad])
         assert resumed.executed == 1  # only the failed key re-simulated
-        assert results[0].to_dict() == executor.run(good).to_dict()
+        [again] = run_strict(executor, [good])
+        assert results[0].to_dict() == again.to_dict()
         assert journal.replay().failed == {}

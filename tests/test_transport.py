@@ -66,14 +66,20 @@ def one_result():
     return spec, execute_spec(spec)
 
 
+def strict_digests(executor: Executor, specs: list[RunSpec]) -> dict:
+    """cache key -> result digest of one wave folded through the
+    materializing reducer; raises SweepFailure if any spec failed."""
+    wave = ListReducer()
+    executor.run_wave(specs, wave)
+    return {
+        key: result_digest(result)
+        for key, result in wave.raise_on_failure().items()
+    }
+
+
 @pytest.fixture(scope="module")
 def clean_digests():
-    specs = all_specs()
-    results = Executor(jobs=1, transport="pickle").run_many(specs)
-    return {
-        spec.cache_key(): result_digest(result)
-        for spec, result in zip(specs, results)
-    }
+    return strict_digests(Executor(jobs=1, transport="pickle"), all_specs())
 
 
 class TestResolveTransport:
@@ -225,12 +231,9 @@ class TestTransportParity:
     def test_shm_matches_pickle(self, jobs, clean_digests):
         specs = all_specs()
         executor = Executor(jobs=jobs, transport="shm")
-        results = executor.run_many(specs)
+        digests = strict_digests(executor, specs)
         assert executor.executed == len(specs)
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, results)
-        } == clean_digests
+        assert digests == clean_digests
 
     def test_cache_transfers_across_transports(self, tmp_path, clean_digests):
         # A cache populated under shm must hit under pickle (and vice
@@ -238,27 +241,21 @@ class TestTransportParity:
         # detail.
         specs = all_specs()
         cold = Executor(jobs=2, transport="shm", cache=ResultCache(tmp_path))
-        cold.run_many(specs)
+        strict_digests(cold, specs)
         assert cold.executed == len(specs)
         warm = Executor(
             jobs=1, transport="pickle", cache=ResultCache(tmp_path)
         )
-        results = warm.run_many(specs)
+        digests = strict_digests(warm, specs)
         assert warm.executed == 0
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, results)
-        } == clean_digests
+        assert digests == clean_digests
 
     def test_streaming_reducer_matches_materialized(self, clean_digests):
         specs = all_specs()
         reducer = ListReducer()
-        wave = Executor(jobs=2, transport="shm").run_wave(
-            specs, reducer=reducer
-        )
-        # With a reducer the wave returns placeholders only.
-        assert wave.results == [None] * len(specs)
-        assert wave.failures == []
+        failures = Executor(jobs=2, transport="shm").run_wave(specs, reducer)
+        # The wave returns only its failures; the reducer holds results.
+        assert failures == []
         assert {
             key: result_digest(result)
             for key, result in reducer.by_key.items()
@@ -301,10 +298,7 @@ class TestFrameChaos:
             retry=RetryPolicy(retries=2, backoff_base=0.0),
             chaos=plan,
         )
-        results = executor.run_many(specs)  # raises if anything failed
+        digests = strict_digests(executor, specs)  # raises on failure
         assert executor.failures == []
         assert executor.retried >= len(victims)
-        assert {
-            spec.cache_key(): result_digest(result)
-            for spec, result in zip(specs, results)
-        } == clean_digests
+        assert digests == clean_digests
