@@ -25,7 +25,7 @@ def main(workload: str = "w19") -> None:
 
     # Fetch the ProFess run first: the runner memoizes it, and its cell
     # below reuses it (a cell keeps only metrics, never the mix run).
-    profess_run = runner.run_workload(workload, "profess")
+    profess_run = runner.execute(runner.spec_workload(workload, "profess"))
     metrics = {}
     for policy in ("pom", "mdm", "profess"):
         print(f"running {policy}...")

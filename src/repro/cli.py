@@ -71,8 +71,9 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=_cache_dir,
         default=None,
-        help="directory for the persistent result cache (shared across "
-        "invocations; repeat runs become cache hits)",
+        help="directory for the persistent result cache and run journal "
+        "(shared across invocations; a rerun serves completed runs from "
+        "the cache and re-attempts only failed and pending ones)",
     )
     parser.add_argument(
         "--retries",
@@ -89,12 +90,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="wall-clock budget per simulation; an overdue run counts as "
         "a (retryable) failure and its worker is replaced",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay the run journal beside --cache-dir: completed work "
-        "is served from the cache, failed keys are re-attempted",
     )
     parser.add_argument(
         "--fail-fast",
@@ -450,7 +445,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         retries=getattr(args, "retries", 1),
         run_timeout=getattr(args, "run_timeout", None),
         fail_fast=getattr(args, "fail_fast", False),
-        resume=getattr(args, "resume", False),
         transport=getattr(args, "transport", "auto"),
     )
 
@@ -487,9 +481,7 @@ def _run(args: argparse.Namespace) -> int:
     except InvalidValueError as error:
         print(f"profess run: {error}", file=sys.stderr)
         return 2
-    summary = runner.resume_summary()
-    if summary is not None:
-        print(summary)
+    _print_resume_summary(runner)
     profiler = None
     if args.profile:
         import cProfile
@@ -531,12 +523,33 @@ def _run(args: argparse.Namespace) -> int:
     if runner.failures:
         print(format_failure_table(runner.failures), file=sys.stderr)
         print(
-            f"{len(runner.failures)} run(s) failed; rerun with --resume "
-            "and --cache-dir to retry only the failures",
+            f"{len(runner.failures)} run(s) failed; rerun with the same "
+            "--cache-dir to retry only the failures",
             file=sys.stderr,
         )
         return 1
     return 0
+
+
+def _print_resume_summary(runner: ExperimentRunner) -> None:
+    """What the cache dir's journal shows, if it has records: a rerun
+    over a cache dir resumes its sweep, with completed runs served from
+    the cache and only failed and pending ones re-attempted."""
+    if runner.journal is None:
+        return
+    state = runner.journal.replay()
+    if not (
+        state.submitted or state.completed or state.failed or state.skipped_lines
+    ):
+        return
+    pieces = (
+        f"{len(state.completed)} completed, "
+        f"{len(state.failed)} failed, "
+        f"{len(state.pending())} pending"
+    )
+    if state.skipped_lines:
+        pieces += f" ({state.skipped_lines} unreadable journal lines)"
+    print(f"resume: journal shows {pieces}")
 
 
 def _print_run_stats(runner: ExperimentRunner) -> None:
@@ -553,17 +566,16 @@ def _report(args: argparse.Namespace) -> int:
     from repro.experiments.paper_report import generate_experiments_md
     from repro.common.errors import ConfigError, InvalidValueError
     from repro.exec import SweepFailure, format_failure_table
-    from repro.experiments.store import ResultStore
 
     try:
         runner = _make_runner(args)
     except InvalidValueError as error:
         print(f"profess report: {error}", file=sys.stderr)
         return 2
-    store = ResultStore(args.store) if args.store is not None else None
+    _print_resume_summary(runner)
     started = time.time()
     try:
-        generate_experiments_md(runner, args.output, store=store)
+        generate_experiments_md(runner, args.output, store=args.store)
     except SweepFailure as error:
         # As in ``profess run``: a figure that raises, or --fail-fast.
         reason = "aborted: fail-fast" if args.fail_fast else "aborted"

@@ -30,7 +30,7 @@ from repro.common.errors import SimulationError
 
 Callback = Callable[[int], None]
 
-#: Stand-in for an absent ``run`` guard: no budget or cycle reaches it.
+#: Stand-in for an absent ``run`` budget: no event count reaches it.
 _NEVER = sys.maxsize
 
 
@@ -93,8 +93,8 @@ class EventQueue:
         that share this queue, and those components hold the queue, so
         the entries close reference cycles.  A finished run still leaves
         some behind (the channel ticks that the end-of-run ST write-backs
-        kick, or everything past a ``max_cycles`` cutoff); dropping them
-        lets reference counting free the simulation.
+        kick, or everything queued when a run raises); dropping them lets
+        reference counting free the simulation.
         """
         self._heap.clear()
         self._fifo.clear()
@@ -117,31 +117,23 @@ class EventQueue:
         callback(cycle)
         return True
 
-    def run(
-        self,
-        max_events: Optional[int] = None,
-        stop_after_cycle: Optional[int] = None,
-    ) -> int:
+    def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue; returns the number of events processed.
 
         ``max_events`` is a runaway guard, not a pause button: if the
         ceiling is reached while events remain, a :class:`SimulationError`
         is raised (a silently truncated run is indistinguishable from a
         completed one, which is how hangs used to masquerade as results).
-        ``stop_after_cycle`` returns control after the first event whose
-        cycle exceeds it has been processed (the simulation driver's
-        ``max_cycles`` cutoff semantics); remaining events stay queued.
         """
         # Local bindings: the loop below is the hottest few lines of the
         # whole simulator, so every global/attribute lookup it avoids is
         # paid back millions of times.  The ``range`` iterator counts the
-        # budget in C: one loop serves every combination of guards.
+        # budget in C.
         heap = self._heap
         fifo = self._fifo
         heappop = heapq.heappop
         popleft = fifo.popleft
         now = self._now
-        stop = stop_after_cycle if stop_after_cycle is not None else _NEVER
         limit = max_events if max_events is not None else _NEVER
         for processed in range(limit):
             if fifo and (not heap or heap[0][0] > now):
@@ -152,8 +144,6 @@ class EventQueue:
                 callback(now)
             else:
                 return processed
-            if now > stop:
-                return processed + 1
         if heap or fifo:
             raise SimulationError(
                 f"event budget of {max_events} exhausted; likely a hang"

@@ -13,7 +13,7 @@ Value  Meaning
 ====== ==========================
 
 The boundaries are configurable (``MDMConfig.qac_boundaries``) so the
-ablation benchmarks can perturb them.
+``ablation-qac`` experiment can perturb them.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ decision —
 
 This is an *extension experiment*, not a paper artifact: it quantifies
 how much of ProFess's fairness gain comes from RSM guidance alone versus
-from MDM's cost-benefit analysis (see ``bench_ext_rsm_pom.py``).
+from MDM's cost-benefit analysis (``profess run ext-rsm-pom``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ Seven layers (see DESIGN.md §9 / §15 / §17):
   land, so the executor never materializes a wave in the parent.
 * :mod:`repro.exec.resilience` — the failure taxonomy
   (:class:`RunFailure`, :class:`RetryPolicy`) and the append-only
-  :class:`RunJournal` behind ``profess run --resume``.
+  :class:`RunJournal` beside the result cache.
 * :mod:`repro.exec.chaos` — deterministic fault injection for testing
   every degradation path, including frame-write faults.
 """

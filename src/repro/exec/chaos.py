@@ -51,7 +51,7 @@ class ChaosError(ReproError):
     Deliberately *not* retryable (it models a deterministic simulation
     bug), so it exercises the fatal-failure path: the spec must land in
     the wave's :class:`~repro.exec.resilience.RunFailure` list and be
-    re-attempted only by an explicit ``--resume``.
+    re-attempted only by a rerun over the same cache directory.
     """
 
 

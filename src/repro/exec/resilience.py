@@ -15,9 +15,9 @@ filesystem.  This module holds the pieces the rewritten
   timeout, ``OSError``); a :class:`~repro.common.errors.SimulationError`
   is deterministic and therefore never retried.
 * :class:`RunJournal` — an append-only ``journal.jsonl`` beside the
-  result cache recording submitted/completed/failed keys, so an
-  interrupted sweep can be resumed (``profess run --resume``) and only
-  the failures re-attempted.
+  result cache recording submitted/completed/failed keys; a rerun over
+  the same cache directory resumes an interrupted sweep, re-attempting
+  only failed and pending work, and prints the journal's summary.
 
 The taxonomy and the journal format are contract: DESIGN.md §15.
 """

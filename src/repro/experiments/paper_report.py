@@ -1,10 +1,10 @@
 """EXPERIMENTS.md generation: paper-vs-measured for every artifact.
 
-``generate_experiments_md(runner)`` runs (or loads) every registered
-experiment and renders a markdown report pairing the paper's reported
-values with the reproduction's measured ones, plus a pass/deviation note
-per shape target.  The committed EXPERIMENTS.md is produced by this
-module (see the header it writes).
+``generate_experiments_md(runner)`` runs every registered experiment and
+renders a markdown report pairing the paper's reported values with the
+reproduction's measured ones, plus a pass/deviation note per shape
+target.  The committed EXPERIMENTS.md is produced by this module (see
+the header it writes).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import ResultStore
+from repro.experiments.store import save_result
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,8 @@ def _header(description: str) -> list[str]:
         "--run-timeout 900`.  Every completed simulation lands in the",
         "cache and `.cache/journal.jsonl` records each submission and",
         "outcome, so a crash, an eviction, or a Ctrl-C loses at most the",
-        "in-flight runs.  Rerun the identical command with `--resume`",
-        "added: the journal replay prints a",
-        "completed/failed/pending summary, completed runs are served",
+        "in-flight runs.  Rerun the identical command: the journal replay",
+        "prints a completed/failed/pending summary, completed runs are served",
         "from the cache (integrity-checked; corrupt entries are moved to",
         "`.cache/quarantine/` once and re-simulated), and only failures",
         "and pending work re-execute.  Runs that still fail after the",
@@ -264,13 +263,14 @@ def _section(result: ExperimentResult) -> list[str]:
 def generate_experiments_md(
     runner: ExperimentRunner,
     output_path: str | Path = "EXPERIMENTS.md",
-    store: Optional[ResultStore] = None,
+    store: Optional[str | Path] = None,
     experiment_ids: Optional[list[str]] = None,
 ) -> str:
     """Run every registered experiment and render EXPERIMENTS.md.
 
     The report file is rewritten incrementally after every experiment,
-    so a partially complete run still leaves a usable document.
+    so a partially complete run still leaves a usable document.  With a
+    ``store`` directory, each result is also saved there as JSON.
     """
     import time
 
@@ -283,7 +283,7 @@ def generate_experiments_md(
         started = time.perf_counter()
         result = run_experiment(experiment_id, runner)
         if store is not None:
-            store.save(result)
+            save_result(result, store)
         if runner.verbose:
             print(
                 f"[{experiment_id} done in "
@@ -339,25 +339,3 @@ def peak_rss_mb() -> float:
         return peak / (1024.0 * 1024.0)
     return peak / 1024.0
 
-
-def render_from_store(
-    store: ResultStore,
-    output_path: str | Path = "EXPERIMENTS.md",
-    description: str = "rendered from stored results",
-) -> str:
-    """Render EXPERIMENTS.md from previously stored JSON results.
-
-    Experiments without a stored result are listed as missing; no
-    simulation runs.
-    """
-    lines = _header(description)
-    for experiment_id in EXPERIMENTS:
-        result = store.load(experiment_id)
-        if result is None:
-            lines.append(f"## {experiment_id} — (no stored result)")
-            lines.append("")
-            continue
-        lines.extend(_section(result))
-    text = "\n".join(lines)
-    Path(output_path).write_text(text)
-    return text

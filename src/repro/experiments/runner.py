@@ -11,8 +11,7 @@ Two cache layers sit behind every request:
 
 * an in-process memo (object identity preserved within one runner), and
 * an optional disk :class:`~repro.exec.cache.ResultCache` (``cache_dir``)
-  that survives process exit and is shared across CLI runs, benchmark
-  sessions, and CI.
+  that survives process exit and is shared across CLI runs and CI.
 
 Every figure submits its runs as one streamed wave
 (:meth:`ExperimentRunner.run_specs` for single-program runs,
@@ -32,7 +31,6 @@ from repro.common.config import (
     paper_quad_core,
     paper_single_core,
 )
-from repro.common.errors import InvalidValueError
 from repro.cpu.trace import Trace
 from repro.exec import (
     Executor,
@@ -43,7 +41,6 @@ from repro.exec import (
     RunJournal,
     RunSpec,
 )
-from repro.exec.resilience import JournalState
 from repro.exec.spec import workload_traces as _workload_traces
 from repro.exec.streaming import ListReducer, WaveReducer
 from repro.experiments.accumulators import (
@@ -87,7 +84,6 @@ class ExperimentRunner:
         retries: int = 0,
         run_timeout: Optional[float] = None,
         fail_fast: bool = False,
-        resume: bool = False,
         transport: str = "auto",
     ) -> None:
         self.scale = scale
@@ -114,20 +110,11 @@ class ExperimentRunner:
         )
         #: The append-only run journal lives beside the cache entries; a
         #: cache-less runner keeps no journal (nothing to resume into).
+        #: A rerun over the same cache dir is the resume: completed keys
+        #: hit the content-addressed cache, and only failed and pending
+        #: work re-simulates.
         self.journal = (
             RunJournal.beside(cache_dir) if cache_dir is not None else None
-        )
-        if resume and self.journal is None:
-            raise InvalidValueError(
-                "resume requires a cache directory (the journal lives "
-                "beside the cache; pass cache_dir / --cache-dir)"
-            )
-        #: Replayed journal state when resuming, else None.  Completed
-        #: keys are expected to hit the disk cache; failed keys are
-        #: simply re-attempted, which is all a resume needs — the cache
-        #: is content-addressed, so nothing completed re-simulates.
-        self.resume_state: Optional[JournalState] = (
-            self.journal.replay() if resume and self.journal else None
         )
         #: Result transport ("auto"/"pickle"/"shm"), forwarded to the
         #: executor.  An execution detail: excluded from cache keys,
@@ -409,47 +396,6 @@ class ExperimentRunner:
     def failures(self) -> list[RunFailure]:
         """Every spec that exhausted retries, across all waves so far."""
         return self.executor.failures
-
-    def resume_summary(self) -> Optional[str]:
-        """One-line journal digest when resuming, else None."""
-        if self.resume_state is None:
-            return None
-        state = self.resume_state
-        pieces = (
-            f"{len(state.completed)} completed, "
-            f"{len(state.failed)} failed, "
-            f"{len(state.pending())} pending"
-        )
-        if state.skipped_lines:
-            pieces += f" ({state.skipped_lines} unreadable journal lines)"
-        return f"resume: journal shows {pieces}"
-
-    # ------------------------------------------------------------------
-    # Cached runs (thin RunSpec wrappers)
-    # ------------------------------------------------------------------
-    def run_single(
-        self,
-        program: str,
-        policy: str,
-        config: Optional[SystemConfig] = None,
-        requests: Optional[int] = None,
-        track_rsm_regions: bool = False,
-    ) -> SimulationResult:
-        """Run one program on the single-core system (Figures 5-9)."""
-        return self.execute(
-            self.spec_single(
-                program, policy, config, requests, track_rsm_regions
-            )
-        )
-
-    def run_workload(
-        self,
-        workload_name: str,
-        policy: str,
-        config: Optional[SystemConfig] = None,
-    ) -> SimulationResult:
-        """Run one Table 10 workload on the quad-core system."""
-        return self.execute(self.spec_workload(workload_name, policy, config))
 
     def mix_metrics(
         self,

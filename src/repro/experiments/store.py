@@ -1,7 +1,8 @@
 """Persistence of experiment results as JSON.
 
-Lets long sweeps be archived and re-rendered without re-simulation, and
-backs the EXPERIMENTS.md generator (:mod:`repro.experiments.paper_report`).
+``profess report --store DIR`` archives every result it renders into
+EXPERIMENTS.md as ``DIR/<experiment id>.json`` (the committed
+``results/`` directory).
 """
 
 from __future__ import annotations
@@ -9,54 +10,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 from repro.common.serialize import jsonable
 from repro.experiments.base import ExperimentResult
 
 
-def save_result(result: ExperimentResult, path: str | Path) -> None:
-    """Write one experiment result as JSON."""
+def save_result(result: ExperimentResult, directory: str | Path) -> Path:
+    """Write one experiment result as ``<directory>/<experiment id>.json``;
+    returns the file's path."""
+    path = Path(directory) / f"{result.experiment_id}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     payload = jsonable(asdict(result))
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_result(path: str | Path) -> ExperimentResult:
-    """Load a result written by :func:`save_result`."""
-    payload = json.loads(Path(path).read_text())
-    return ExperimentResult(
-        experiment_id=payload["experiment_id"],
-        title=payload["title"],
-        headers=payload["headers"],
-        rows=payload["rows"],
-        summary=payload.get("summary", {}),
-        notes=payload.get("notes", ""),
-    )
-
-
-class ResultStore:
-    """A directory of experiment results keyed by experiment id."""
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, experiment_id: str) -> Path:
-        return self.directory / f"{experiment_id}.json"
-
-    def save(self, result: ExperimentResult) -> Path:
-        """Persist one result; returns its path."""
-        path = self._path(result.experiment_id)
-        save_result(result, path)
-        return path
-
-    def load(self, experiment_id: str) -> Optional[ExperimentResult]:
-        """Load one result or None if absent."""
-        path = self._path(experiment_id)
-        if not path.exists():
-            return None
-        return load_result(path)
-
-    def ids(self) -> list[str]:
-        """Stored experiment ids."""
-        return sorted(p.stem for p in self.directory.glob("*.json"))
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path

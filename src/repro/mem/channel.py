@@ -380,9 +380,9 @@ class Channel:
 
         The cached tick is a bound method of the channel itself, and
         queued reads and writes waiting for acceptance carry completions
-        that reach back into the controller and the cores (a
-        ``max_cycles`` cutoff can leave demand reads and ST fetches
-        queued; posted writes keep no completion in the queue).  Both
+        that reach back into the controller and the cores (a run that
+        raises can leave demand reads and ST fetches queued; posted
+        writes keep no completion in the queue).  Both
         close reference cycles.  Statistics, bank state and the queued
         entries (minus their completions) stay readable; the channel
         cannot tick again.

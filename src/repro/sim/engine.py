@@ -42,7 +42,6 @@ class SimulationDriver:
         traces: Sequence[tuple[str, Trace]],
         seed: int = 0,
         track_rsm_regions: bool = False,
-        max_cycles: Optional[int] = None,
         program_of_core: Optional[Sequence[int]] = None,
         warmup_requests: int = 0,
         validate_every: int = 0,
@@ -124,7 +123,6 @@ class SimulationDriver:
         self._first_pass_done = [False] * len(self.cores)
         self._end_cycle: Optional[int] = None
         self._instruction_snapshot: Optional[list[int]] = None
-        self._max_cycles = max_cycles
         # Optional measurement warm-up (Section 4.2 observes M1 filling
         # within the first few percent of execution): IPC is measured
         # from the moment the first ``warmup_requests`` demand requests
@@ -196,9 +194,11 @@ class SimulationDriver:
         """Drive the event loop to the end of the run; collect results.
 
         The event loop itself lives in :meth:`EventQueue.run` (the
-        inlined fast path); this method only wires up the cutoffs.  When
-        the ``MAX_EVENTS`` ceiling is hit the queue raises
-        :class:`SimulationError` instead of returning a truncated run.
+        inlined fast path).  A run that cannot end properly raises
+        :class:`SimulationError` instead of returning a truncated result:
+        the queue raises when the ``MAX_EVENTS`` ceiling is hit, and this
+        method raises when the queue drains before every core finished
+        its first pass (a lost completion).
         """
         for core in self.cores:
             core.start()
@@ -206,13 +206,12 @@ class SimulationDriver:
             self.events.schedule(
                 self.events.now + self._validate_every, self._periodic_validate
             )
-        self.events_processed = self.events.run(
-            max_events=MAX_EVENTS, stop_after_cycle=self._max_cycles
-        )
-        if self._max_cycles is not None and self.events.now > self._max_cycles:
-            self._force_end()
+        self.events_processed = self.events.run(max_events=MAX_EVENTS)
         if self._end_cycle is None:
-            self._force_end()
+            raise SimulationError(
+                f"event queue drained at cycle {self.events.now} before "
+                "every core finished its first pass; a completion was lost"
+            )
         self.controller.finalize()
         return self._collect()
 
@@ -243,15 +242,6 @@ class SimulationDriver:
         self.events.schedule(
             now + self._validate_every, self._periodic_validate
         )
-
-    def _force_end(self) -> None:
-        if self._end_cycle is None:
-            self._end_cycle = max(self.events.now, 1)
-            self._instruction_snapshot = [
-                core.instructions_retired for core in self.cores
-            ]
-        for core in self.cores:
-            core.stop()
 
     def _collect(self) -> SimulationResult:
         assert self._end_cycle is not None

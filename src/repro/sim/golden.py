@@ -101,7 +101,7 @@ def result_digest(result) -> str:
 
     The byte-identity contract for resilient execution (DESIGN.md §15):
     however a result was obtained — serial, pooled, retried after a
-    worker death, replayed through ``--resume``, or read back from the
+    worker death, re-attempted by a rerun, or read back from the
     integrity-checked cache — its canonical serialization must hash the
     same as a clean serial run's.  The chaos suite asserts exactly this.
     Uses the same serialization as the golden blobs so the two

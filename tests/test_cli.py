@@ -260,6 +260,33 @@ class TestMain:
         warm = capsys.readouterr().out
         assert "simulations executed: 0" in warm
 
+    def test_rerun_prints_the_journal_summary(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # A rerun over a cache dir resumes its sweep: the cache serves
+        # every completed run, and run and report say what the journal
+        # shows.
+        from repro.experiments import paper_report
+
+        cache = str(tmp_path / "cache")
+        argv = ["run", "fig7", "--cache-dir", cache, "--scale", "128",
+                "--single-requests", "300", "--verbose"]
+        assert main(argv) == 0
+        assert "resume:" not in capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        summary = "resume: journal shows 9 completed, 0 failed, 0 pending"
+        assert summary in warm
+        assert "simulations executed: 0" in warm
+        monkeypatch.setattr(
+            paper_report, "generate_experiments_md",
+            lambda runner, output, store=None: "",
+        )
+        argv = ["report", "--cache-dir", cache,
+                "--output", str(tmp_path / "out.md")]
+        assert main(argv) == 0
+        assert summary in capsys.readouterr().out
+
     def test_report_verbose_prints_counters_and_peak_rss(
         self, monkeypatch, tmp_path, capsys
     ):

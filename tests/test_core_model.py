@@ -146,7 +146,9 @@ class TestRepetition:
         memory = InstantMemory(events, 10)
         core = TraceCore(0, CoreConfig(), trace, events, memory.access)
         core.start()
-        events.run(stop_after_cycle=15)
+        # Run up to and including the first event past cycle 15.
+        while events.step() and events.now <= 15:
+            pass
         core.stop()
         events.run()
         assert len(memory.requests) < 100

@@ -88,17 +88,6 @@ class TestRun:
             q.schedule(i, lambda c: None)
         assert q.run(max_events=5) == 5
 
-    def test_run_stop_after_cycle(self):
-        q = EventQueue()
-        fired = []
-        for cycle in (1, 2, 8):
-            q.schedule(cycle, lambda c: fired.append(c))
-        assert q.run(stop_after_cycle=5) == 3
-        # The first event past the cutoff still runs; control then
-        # returns with the queue state intact.
-        assert fired == [1, 2, 8]
-        assert len(q) == 0
-
     def test_len(self):
         q = EventQueue()
         q.schedule(1, lambda c: None)
@@ -146,36 +135,6 @@ class TestRun:
         q.schedule(1, lambda c: None)
         with pytest.raises(SimulationError, match="event budget"):
             q.run(max_events=0)
-
-    def test_stop_after_cycle_leaves_later_work_queued(self):
-        q, fired = EventQueue(), []
-        self._mixed(q, fired)
-        # Cycle 3's heap event is the first past the cutoff: it runs,
-        # and its same-cycle children stay queued with cycle 4.
-        assert q.run(stop_after_cycle=2) == 7
-        assert fired == [1, 1, 1, 2, 2, 2, 3]
-        assert q.now == 3
-        assert len(q) == 3
-        # Resuming with a cutoff already behind ``now`` stops after one
-        # event, as before.
-        assert q.run(stop_after_cycle=2) == 1
-        assert len(q) == 2
-        assert q.run() == 4
-        assert fired == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-
-    def test_stop_after_cycle_takes_precedence_over_an_exact_budget(self):
-        # The budget's last event is the one that crosses the cutoff:
-        # control returns normally, with work still queued.
-        q, fired = EventQueue(), []
-        self._mixed(q, fired)
-        assert q.run(max_events=7, stop_after_cycle=2) == 7
-        assert len(q) == 3
-        assert q.run(max_events=3, stop_after_cycle=3) == 3
-        assert fired[-3:] == [3, 3, 4]
-        # A budget that runs out before the cutoff still raises.
-        with pytest.raises(SimulationError, match="event budget"):
-            q.run(max_events=1, stop_after_cycle=10)
-        assert len(fired) == 11
 
 
 class _ReferenceHeapQueue:

@@ -384,9 +384,9 @@ class TestRunnerIntegration:
         ]
         runner.run_specs(specs)
         assert runner.executor.executed == 2
-        first = runner.run_single("zeusmp", "pom")
+        first = runner.execute(specs[0])
         assert runner.executor.executed == 2  # served from the memo
-        assert first is runner.run_single("zeusmp", "pom")
+        assert first is runner.execute(runner.spec_single("zeusmp", "pom"))
 
     def test_parallel_figure_matches_serial(self, tmp_path):
         """jobs=2 produces results identical to serial for one figure."""

@@ -23,13 +23,13 @@ def runner():
 
 class TestRunnerCaching:
     def test_single_run_cached(self, runner):
-        first = runner.run_single("zeusmp", "static")
-        second = runner.run_single("zeusmp", "static")
+        first = runner.execute(runner.spec_single("zeusmp", "static"))
+        second = runner.execute(runner.spec_single("zeusmp", "static"))
         assert first is second
 
     def test_different_policy_not_cached(self, runner):
-        a = runner.run_single("zeusmp", "static")
-        b = runner.run_single("zeusmp", "pom")
+        a = runner.execute(runner.spec_single("zeusmp", "static"))
+        b = runner.execute(runner.spec_single("zeusmp", "pom"))
         assert a is not b
 
     def test_workload_traces_seed_instances(self, runner):
@@ -196,12 +196,13 @@ class TestCellPath:
         assert [failure.key for failure in caught.value.failures] == [key]
 
     def test_session_simulates_no_spec_twice(self):
-        # The memo rule: stand-alone reference runs are shared by every
-        # cell on a config, mempod-vs-pom reads fig2's PoM mixes from
-        # its cells, and every single-program result is memoized (fig5
-        # reuses mempod-vs-pom's PoM runs, fig6-fig9 and sens-twr reuse
-        # earlier figures' runs), so no spec of this session is
-        # simulated twice.
+        # A cache-less ``run all``.  The memo rule: stand-alone reference
+        # runs are shared by every cell on a config, mempod-vs-pom reads
+        # fig2's PoM mixes from its cells, and every single-program
+        # result is memoized (fig5 reuses mempod-vs-pom's PoM runs,
+        # fig6-fig9 and the sensitivities reuse earlier figures' runs),
+        # so no spec of this session is simulated twice.  Every artifact
+        # renders rows.
         runner = ExperimentRunner(
             scale=128, multi_requests=300, single_requests=300, seed=0
         )
@@ -209,12 +210,13 @@ class TestCellPath:
         runner.executor.on_run = lambda event: runs.update(
             [event.spec.cache_key()]
         )
-        for experiment_id in (
-            "fig2", "fig10", "fig13", "ext-rsm-pom", "mempod-vs-pom",
-            "fig5", "fig6", "fig7", "fig8", "fig9", "table4", "sens-twr",
-        ):
-            run_experiment(experiment_id, runner)
-        assert len(runs) == runner.executor.executed == 181
+        empty = [
+            experiment_id
+            for experiment_id in EXPERIMENTS
+            if not run_experiment(experiment_id, runner).rows
+        ]
+        assert empty == []
+        assert len(runs) == runner.executor.executed == 413
         assert set(runs.values()) == {1}
 
     def test_sens_ratio_skips_programs_that_do_not_fit(self):

@@ -75,17 +75,18 @@ def test_finished_run_is_freed(policy, build):
     assert_freed(refs)
 
 
-def test_max_cycles_cutoff_is_freed():
-    # This cutoff stops the loop with core dispatches and ST fetches in
-    # the event queue and a read still waiting in a channel queue, whose
+def test_mid_run_stop_is_freed(monkeypatch):
+    # The event budget stops the loop with core dispatches and ST fetches
+    # in the event queue and a read still waiting in a channel queue, whose
     # completion leads back to the controller.
-    driver = quad_driver("profess", max_cycles=8007)
+    monkeypatch.setattr(engine, "MAX_EVENTS", 500)
+    driver = quad_driver("profess")
     channels = driver.controller.channels
     refs = component_refs(driver)
-    result = driver.run()
-    assert all(program.passes_completed == 0 for program in result.programs)
+    with pytest.raises(SimulationError, match="event budget"):
+        driver.run()
     assert any(len(channel._reads) for channel in channels)
-    del driver, result, channels
+    del driver, channels
     assert_freed(refs)
 
 

@@ -3,7 +3,6 @@
 from repro.experiments import paper_report
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import ResultStore
 
 
 def fake_result(experiment_id):
@@ -56,31 +55,15 @@ class TestGeneration:
             lambda experiment_id, runner: fake_result(experiment_id),
         )
         runner = ExperimentRunner(scale=128, multi_requests=10, single_requests=10)
-        store = ResultStore(tmp_path / "store")
+        store = tmp_path / "store"
         paper_report.generate_experiments_md(
             runner, tmp_path / "E.md", store=store, experiment_ids=["fig5"]
         )
-        assert store.ids() == ["fig5"]
+        assert [path.name for path in store.iterdir()] == ["fig5.json"]
 
     def test_scale_recorded_in_header(self, tmp_path, monkeypatch):
         _, text = self._generate(tmp_path, monkeypatch, ["fig5"])
         assert "scale=1/128" in text
-
-
-class TestRenderFromStore:
-    def test_renders_stored_results(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.save(fake_result("fig5"))
-        output = tmp_path / "E.md"
-        text = paper_report.render_from_store(store, output)
-        assert output.exists()
-        assert "fig5" in text
-        assert "shape holds" in text
-
-    def test_missing_results_marked(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        text = paper_report.render_from_store(store, tmp_path / "E.md")
-        assert "(no stored result)" in text
 
 
 class TestRunStats:

@@ -1,9 +1,11 @@
 """Result persistence and paper-report tests."""
 
+import json
+
 from repro.experiments.base import ExperimentResult
 from repro.experiments.paper_report import EXPECTATIONS
 from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.store import ResultStore, load_result, save_result
+from repro.experiments.store import save_result
 
 
 def sample_result():
@@ -17,31 +19,27 @@ def sample_result():
     )
 
 
+def saved_payload(result, directory):
+    return json.loads(save_result(result, directory).read_text())
+
+
 class TestStore:
     def test_roundtrip(self, tmp_path):
-        path = tmp_path / "r.json"
-        save_result(sample_result(), path)
-        loaded = load_result(path)
-        assert loaded.experiment_id == "fig5"
-        assert loaded.rows[0] == ["lbm", 1.38]
-        assert loaded.summary["geomean"] == 1.14
-        assert loaded.notes == "note"
+        payload = saved_payload(sample_result(), tmp_path)
+        assert payload["experiment_id"] == "fig5"
+        assert payload["rows"][0] == ["lbm", 1.38]
+        assert payload["summary"]["geomean"] == 1.14
+        assert payload["notes"] == "note"
 
     def test_store_by_id(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save(sample_result())
-        assert store.ids() == ["fig5"]
-        assert store.load("fig5").title == "test"
-
-    def test_missing_returns_none(self, tmp_path):
-        assert ResultStore(tmp_path).load("nope") is None
+        path = save_result(sample_result(), tmp_path / "results")
+        assert path == tmp_path / "results" / "fig5.json"
+        assert json.loads(path.read_text())["title"] == "test"
 
     def test_non_jsonable_values_stringified(self, tmp_path):
         result = sample_result()
         result.summary["obj"] = object()
-        path = tmp_path / "r.json"
-        save_result(result, path)
-        assert isinstance(load_result(path).summary["obj"], str)
+        assert isinstance(saved_payload(result, tmp_path)["summary"]["obj"], str)
 
 
 class TestExpectations:
