@@ -1,4 +1,4 @@
-"""Generic set-associative cache array with true-LRU replacement.
+"""Generic set-associative cache array with LRU or LFU replacement.
 
 Used directly for the L1/L2/L3 data hierarchy and, with payloads, for the
 Swap-group Table Cache.  Keys are opaque integers (line or group numbers);
@@ -14,30 +14,24 @@ from repro.common.errors import ConfigError
 
 V = TypeVar("V")
 
-REPLACEMENT_POLICIES = ("lru", "fifo", "random", "lru-lip", "lfu")
+REPLACEMENT_POLICIES = ("lru", "lfu")
 
 
 class SetAssociativeCache(Generic[V]):
     """A num_sets x associativity array of (key -> value).
 
     Each set is an OrderedDict from key to (value, dirty).  Replacement
-    is pluggable: true LRU (default — hits refresh recency), FIFO (hits
-    do not), pseudo-random (deterministic in the seed, as a hardware
-    LFSR would be), LRU-LIP (LRU with low-priority insertion: fills land
-    at the LRU end and must earn a hit to be promoted — scan-resistant),
-    or LFU (evict the least-frequently-accessed entry, insertion-order
-    tie-break).  ``num_sets`` must be a power of two so indexing is a
-    mask, as in hardware.
+    is true LRU (default — hits refresh recency) or LFU (evict the
+    least-frequently-accessed entry, insertion-order tie-break).
+    ``num_sets`` must be a power of two so indexing is a mask, as in
+    hardware.
     """
 
     __slots__ = (
         "num_sets",
         "_set_mask",
         "associativity",
-        "replacement",
-        "_lfsr",
         "_sets",
-        "_touch_moves",
         "_is_lfu",
         "_freq",
         "hits",
@@ -49,7 +43,6 @@ class SetAssociativeCache(Generic[V]):
         num_sets: int,
         associativity: int,
         replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         if num_sets < 1 or num_sets & (num_sets - 1):
             raise ConfigError(f"num_sets must be a power of two, got {num_sets}")
@@ -63,29 +56,16 @@ class SetAssociativeCache(Generic[V]):
         self.num_sets = num_sets
         self._set_mask = num_sets - 1
         self.associativity = associativity
-        self.replacement = replacement
-        # Hot-path predicates, resolved once (lookup runs per request).
-        self._touch_moves = replacement in ("lru", "lru-lip")
+        # Hot-path predicate, resolved once (lookup runs per request).
         self._is_lfu = replacement == "lfu"
         #: key -> access count since fill (LFU only; keys are globally
         #: unique, so one dict serves every set).
         self._freq: dict[int, int] = {}
-        # Simple deterministic LFSR-style state for random replacement.
-        self._lfsr = (seed * 2654435761 + 1) & 0xFFFFFFFF
         self._sets: list[OrderedDict[int, list]] = [
             OrderedDict() for _ in range(num_sets)
         ]
         self.hits = 0
         self.misses = 0
-
-    def _next_random(self) -> int:
-        # xorshift32: cheap, deterministic, hardware-plausible.
-        x = self._lfsr or 0x9E3779B9
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        self._lfsr = x & 0xFFFFFFFF
-        return self._lfsr
 
     # ------------------------------------------------------------------
     def _set_for(self, key: int) -> OrderedDict:
@@ -101,10 +81,10 @@ class SetAssociativeCache(Generic[V]):
             self.misses += 1
             return None
         self.hits += 1
-        if self._touch_moves:
-            entry_set.move_to_end(key)
-        elif self._is_lfu:
+        if self._is_lfu:
             self._freq[key] = self._freq.get(key, 0) + 1
+        else:
+            entry_set.move_to_end(key)
         return slot[0]
 
     def peek(self, key: int) -> Optional[V]:
@@ -146,29 +126,20 @@ class SetAssociativeCache(Generic[V]):
             return replaced
         victim: Optional[tuple[int, V, bool]] = None
         if len(entry_set) >= self.associativity:
-            if self.replacement == "random":
-                keys = list(entry_set)
-                victim_key = keys[self._next_random() % len(keys)]
-                victim_value, victim_dirty = entry_set.pop(victim_key)
-            elif self._is_lfu:
+            if self._is_lfu:
                 # Least-frequently-used; ties break toward the oldest
                 # insertion (deterministic: OrderedDict iteration order).
                 freq = self._freq
                 victim_key = min(entry_set, key=lambda k: freq.get(k, 0))
                 victim_value, victim_dirty = entry_set.pop(victim_key)
-            else:  # lru, fifo, lru-lip all evict the oldest-ordered entry
+                freq.pop(victim_key, None)
+            else:  # LRU evicts the oldest-ordered entry
                 victim_key, (victim_value, victim_dirty) = entry_set.popitem(
                     last=False
                 )
             victim = (victim_key, victim_value, victim_dirty)
-            if self._is_lfu:
-                self._freq.pop(victim_key, None)
         entry_set[key] = [value, dirty]
-        if self.replacement == "lru-lip":
-            # Low-priority insertion: the fill lands at the LRU end and
-            # must earn a lookup hit to be promoted.
-            entry_set.move_to_end(key, last=False)
-        elif self._is_lfu:
+        if self._is_lfu:
             self._freq[key] = 1
         return victim
 

@@ -91,10 +91,9 @@ class STC:
         group_size: int,
         counter_max: int = 63,
         replacement: str = "lru",
-        seed: int = 0,
     ) -> None:
         self._array: SetAssociativeCache[STCEntry] = SetAssociativeCache(
-            num_sets, associativity, replacement=replacement, seed=seed
+            num_sets, associativity, replacement=replacement
         )
         self._group_size = group_size
         self._counter_max = counter_max

@@ -36,7 +36,8 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _cache_dir(value: str) -> Path:
+def _directory(value: str) -> Path:
+    """A directory flag's path: absent (made on first write) or a directory."""
     path = Path(value)
     if path.exists() and not path.is_dir():
         raise argparse.ArgumentTypeError(
@@ -69,7 +70,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=_directory,
         default=None,
         help="directory for the persistent result cache and run journal "
         "(shared across invocations; a rerun serves completed runs from "
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Print every policy in the composable registry "
         "(repro.policies.registry) with its base algorithm and RSM "
         "guidance, plus the axis grammar accepted by 'profess run "
-        "--policy' (base[+rsm][+swap:STYLE][+bypass:RATE][+stc:POLICY]).",
+        "--policy' (base[+rsm][+stc:POLICY]).",
     )
     policies_parser.add_argument(
         "--markdown",
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="restrict policy-sweep experiments (e.g. ext-policy-matrix) "
         "to these composable policy specs (repeatable; e.g. "
-        "mdm+rsm+bypass:0.05+stc:lfu); see 'profess policies'",
+        "mdm+rsm+stc:lfu); see 'profess policies'",
     )
     run_parser.add_argument(
         "--validate-every",
@@ -181,7 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         "poisoning results (0 = off; does not affect cache keys)",
     )
     run_parser.add_argument(
-        "--out", type=Path, default=None, help="directory for .txt reports"
+        "--out",
+        type=_directory,
+        default=None,
+        help="directory for .txt reports",
     )
     run_parser.add_argument("--verbose", action="store_true")
     run_parser.add_argument(
@@ -212,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", type=Path, default=Path("EXPERIMENTS.md")
     )
     report_parser.add_argument(
-        "--store", type=Path, default=None, help="directory for JSON results"
+        "--store",
+        type=_directory,
+        default=None,
+        help="directory for JSON results",
     )
     report_parser.add_argument("--verbose", action="store_true")
     _add_execution_flags(report_parser)
@@ -252,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=_directory,
         required=True,
         help="the cache directory to inspect (same flag as 'profess run')",
     )
@@ -607,7 +614,15 @@ def _trace(args: argparse.Namespace) -> int:
     except ReproError as error:
         print(f"profess trace: {_error_text(error)}", file=sys.stderr)
         return 2
-    trace.save(args.output)
+    try:
+        trace.save(args.output)
+    except OSError as error:
+        print(
+            f"profess trace: cannot write {args.output}: "
+            f"{error.strerror or error}",
+            file=sys.stderr,
+        )
+        return 2
     print(
         f"wrote {args.output}: {len(trace)} requests, "
         f"MPKI {trace.mpki:.1f}, writes {trace.write_fraction:.1%}"
@@ -765,6 +780,14 @@ def _perf(args: argparse.Namespace) -> int:
 def _cache(args: argparse.Namespace) -> int:
     from repro.exec.cache import ResultCache
 
+    if not args.cache_dir.is_dir():
+        # Inspecting must not create: a typo'd path is an error, not an
+        # empty cache.
+        print(
+            f"profess cache: no cache directory {str(args.cache_dir)!r}",
+            file=sys.stderr,
+        )
+        return 2
     cache = ResultCache(args.cache_dir)
     if args.clear:
         removed = cache.clear()
@@ -865,12 +888,10 @@ def _lint(args: argparse.Namespace) -> int:
 
 def _policies(args: argparse.Namespace) -> int:
     from repro.cache.sets import REPLACEMENT_POLICIES
-    from repro.common.config import SWAP_STYLES
     from repro.policies.registry import guided_bases, iter_registered
 
     entries = list(iter_registered())
     guided = ", ".join(guided_bases())
-    swap_styles = ", ".join(SWAP_STYLES)
     stc_policies = ", ".join(REPLACEMENT_POLICIES)
     if args.markdown:
         print("| name | base | guidance | description |")
@@ -885,8 +906,6 @@ def _policies(args: argparse.Namespace) -> int:
         print("| axis | values | default |")
         print("| --- | --- | --- |")
         print(f"| `+rsm` | guided bases: {guided} | off |")
-        print(f"| `+swap:STYLE` | {swap_styles} | policy default |")
-        print("| `+bypass:RATE` | [0, 1) | 0 (off) |")
         print(f"| `+stc:POLICY` | {stc_policies} | lru |")
     else:
         width = max(len(entry.name) for entry in entries)
@@ -894,12 +913,8 @@ def _policies(args: argparse.Namespace) -> int:
             tag = " [rsm]" if entry.guidance else ""
             print(f"{entry.name.ljust(width)}  {entry.description}{tag}")
         print()
-        print(
-            "compose axes with '+': "
-            "base[+rsm][+swap:STYLE][+bypass:RATE][+stc:POLICY]"
-        )
+        print("compose axes with '+': base[+rsm][+stc:POLICY]")
         print(f"  rsm guidance available for: {guided}")
-        print(f"  swap styles: {swap_styles}")
         print(f"  stc replacement: {stc_policies}")
     return 0
 

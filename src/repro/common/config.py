@@ -36,13 +36,6 @@ LINE_BURST_NS = 5.0
 #: Lines per 2-KB swap block.
 LINES_PER_BLOCK = 32
 
-#: Composable swap styles (Table 1 nomenclature plus extensions): *fast*
-#: exchanges two blocks directly, *slow* restores the group's original
-#: mapping first (SILC-FM), *smart* restores only when the exchange does
-#: not already re-home the demoted block, *noswap* disables migration
-#: traffic entirely (decision accounting still runs).
-SWAP_STYLES = ("fast", "slow", "smart", "noswap")
-
 
 @dataclass(frozen=True)
 class MemTimings:

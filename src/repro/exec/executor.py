@@ -25,11 +25,11 @@ WorkerFailure`), transient faults — worker death, per-spec wall-clock
 timeouts, ``OSError`` — are re-attempted under a deterministic
 :class:`~repro.exec.resilience.RetryPolicy`, deterministic failures are
 captured as structured :class:`~repro.exec.resilience.RunFailure`
-records, and every submit/complete/fail is journalled so an interrupted
-sweep resumes instead of restarting.  :meth:`Executor.run_wave` folds
-each terminal failure into the reducer too and returns them; only
-``fail_fast`` turns one into a :class:`~repro.exec.resilience.
-SweepFailure` that aborts the wave.
+records, and every submit/complete/fail of a simulation (not a cache
+hit) is journalled so an interrupted sweep resumes instead of
+restarting.  :meth:`Executor.run_wave` folds each terminal failure into
+the reducer too and returns them; only ``fail_fast`` turns one into a
+:class:`~repro.exec.resilience.SweepFailure` that aborts the wave.
 """
 
 from __future__ import annotations
@@ -301,8 +301,9 @@ class Executor:
         for key, spec in unique.items():
             cached = self.cache.get(spec) if self.cache is not None else None
             if cached is not None:
+                # Not journalled: the run that stored the entry already
+                # journalled its completion, so a warm rerun adds nothing.
                 sink.add(key, spec, cached)
-                self._journal_completed(key, SOURCE_CACHE, 0.0)
                 self._notify(RunEvent(spec, cached, 0.0, SOURCE_CACHE))
             else:
                 pending.append((key, spec))
@@ -387,11 +388,7 @@ class Executor:
 
     def _journal_completed(self, key: str, source: str, elapsed: float) -> None:
         if self.journal is not None:
-            transport = None
-            if source != SOURCE_CACHE:
-                transport = (
-                    TRANSPORT_SHM if self._session is not None else "pickle"
-                )
+            transport = TRANSPORT_SHM if self._session is not None else "pickle"
             self.journal.completed(
                 key, self.run_id, source, elapsed, transport=transport
             )

@@ -87,10 +87,7 @@ class HybridMemoryController:
         "total_swaps",
         "_pending_fetches",
         "_swap_pending",
-        "_swap_style",
-        "_swaps_enabled",
-        "_bypass_rate",
-        "_bypass_rng",
+        "_slow_swaps",
         "_stc_latency",
         "_access_weights",
         "_counter_max",
@@ -127,7 +124,6 @@ class HybridMemoryController:
         policy: MigrationPolicy,
         seed: int = 0,
         track_rsm_regions: bool = False,
-        rng: Optional[np.random.Generator] = None,
         program_of_core: Optional[list[int]] = None,
     ) -> None:
         self.config = config
@@ -169,34 +165,20 @@ class HybridMemoryController:
         # ``enqueue_soa`` per request.
         self._enqueue_soa = [channel.enqueue_soa for channel in self.channels]
         self.st = SwapGroupTable(config.total_groups, config.hybrid.group_size)
-        # Composable policy axes (repro.policies.registry): the policy
-        # instance carries its resolved swap style / bypass rate / STC
-        # replacement; class defaults cover directly constructed policies.
-        self._swap_style = policy.swap_style
-        self._swaps_enabled = policy.swap_style != "noswap"
-        self._bypass_rate = policy.bypass_rate
-        # The bypass substream exists only when the axis is active, so
-        # default-axes runs draw nothing and stay byte-identical to the
-        # pre-axis golden blobs.
-        self._bypass_rng: Optional[np.random.Generator] = (
-            make_rng(seed, "migration-bypass")
-            if policy.bypass_rate > 0.0
-            else None
-        )
+        # The policy fixes its swap type (Table 1) and carries the STC
+        # replacement its spec resolved (repro.policies.registry).
+        self._slow_swaps = policy.swap_style == "slow"
         self.stc = STC(
             num_sets=config.stc.num_sets,
             associativity=config.stc.associativity,
             group_size=config.hybrid.group_size,
             counter_max=config.mdm.access_counter_max,
             replacement=policy.stc_replacement,
-            seed=seed,
         )
         self.stc.on_eviction(self._on_stc_eviction)
         self.region_map = RegionMap(self.address_map, self.num_programs)
         self.allocator = OSAllocator(
-            self.address_map,
-            self.region_map,
-            rng if rng is not None else make_rng(seed, "os-allocator"),
+            self.address_map, self.region_map, make_rng(seed, "os-allocator")
         )
         self.rsm = RSM(
             config.rsm,
@@ -458,18 +440,9 @@ class HybridMemoryController:
             group * self._group_size + location
         ] or self._fill_data_loc(group, location)
 
-        if (
-            promote_slot is None
-            or not self._swaps_enabled
-            or (
-                self._bypass_rng is not None
-                and self._bypass_rng.random() < self._bypass_rate
-            )
-        ):
+        if promote_slot is None:
             # Common case: nothing to do at completion beyond notifying
             # the issuer, so its callback is passed through unwrapped.
-            # (The noswap and probabilistic-bypass axes drop the decided
-            # promotion here, before any completion hook is wrapped.)
             on_data_complete = on_complete
         else:
             on_data_complete = partial(
@@ -501,7 +474,7 @@ class HybridMemoryController:
         Returns False when the promotion is moot (block already in M1) or
         a swap for this group is still in flight.
         """
-        if not self._swaps_enabled or group in self._swap_pending:
+        if group in self._swap_pending:
             return False
         st_entry = self.st.entry(group)
         m2_location = st_entry.loc_of_slot[slot]
@@ -521,16 +494,9 @@ class HybridMemoryController:
         owner_demoted = st_entry.m1_owner
         # Slow swap type (Table 1): the group's original mapping must be
         # restored before the new blocks exchange, costing an extra
-        # block-move pass on the channel.  The smart style pays the
-        # restore only when the exchange does not already re-home the
-        # demoted block (i.e. the demoted block's new M2 location is not
-        # its original slot).  Only these styles ask whether the group is
-        # still unmapped, and they must ask before the swap below.
-        style = self._swap_style
-        restore = (
-            style == "slow"
-            or (style == "smart" and m2_location != demote_slot)
-        ) and not st_entry.is_identity()
+        # block-move pass on the channel.  Only slow swaps ask whether the
+        # group is still unmapped, and they must ask before the swap below.
+        restore = self._slow_swaps and not st_entry.is_identity()
         st_entry.swap(slot, demote_slot)
         st_entry.m1_owner = owner_promoted
 

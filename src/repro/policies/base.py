@@ -72,19 +72,13 @@ class MigrationPolicy(ABC):
     #: the spec's canonical string here (e.g. ``"profess+stc:lfu"``).
     name: str = "base"
     write_weight: int = 1
-    #: Swap style per Table 1 (class default; the registry's composable
-    #: ``swap:`` axis overrides per instance): *fast* swaps exchange any
-    #: two blocks directly; *slow* swaps (SILC-FM) must first restore
-    #: the group's original mapping, costing an extra block move when
-    #: the group is already remapped; *smart* restores only when the
-    #: exchange does not already re-home the demoted block; *noswap*
-    #: suppresses migration traffic entirely.
+    #: Swap type per Table 1, fixed by the algorithm: *fast* swaps
+    #: exchange any two blocks directly; *slow* swaps (SILC-FM) must
+    #: first restore the group's original mapping, costing an extra
+    #: block move when the group is already remapped.
     swap_style: str = "fast"
-    #: Probability of dropping a decided promotion (registry axis; 0 =
-    #: off).  Drawn from the seeded ``migration-bypass`` substream.
-    bypass_rate: float = 0.0
     #: Replacement policy of the STC array serving this policy's run
-    #: (registry axis).
+    #: (the registry's ``stc:`` axis sets it per instance).
     stc_replacement: str = "lru"
 
     def __init__(self, config: SystemConfig) -> None:

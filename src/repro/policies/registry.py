@@ -6,19 +6,17 @@ an explicit, sweepable coordinate instead of a hard-coded name:
 
 * **base** — the migration algorithm (``pom``, ``mdm``, ``cameo``, ...).
 * **guidance** — RSM fairness guidance on top of the base (Table 7).
-* **swap_style** — ``fast`` / ``slow`` / ``smart`` / ``noswap``
-  (Table 1 nomenclature plus extensions; see
-  :data:`repro.common.config.SWAP_STYLES`).
-* **bypass_rate** — probability of dropping a decided promotion, drawn
-  from the seeded ``migration-bypass`` substream (a probabilistic
-  hedge against pathological swap storms).
 * **stc_replacement** — replacement policy of the Swap-group Table
   Cache (:data:`repro.cache.sets.REPLACEMENT_POLICIES`).
+
+The swap type of Table 1 is not an axis: it belongs to the algorithm,
+as the class attribute :attr:`~repro.policies.base.MigrationPolicy.
+swap_style` (``slow`` for SILC-FM, ``fast`` for every other policy).
 
 A :class:`PolicySpec` is the frozen, hashable value of those axes, and
 the only place an axis is set.  The text form composes with ``+``::
 
-    mdm+rsm+bypass:0.05+stc:lfu
+    mdm+rsm+stc:lfu
 
 Policy classes register themselves with :func:`register_policy`;
 :func:`build_policy` replaces the old ``make_policy`` name-to-constructor
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cache.sets import REPLACEMENT_POLICIES
-from repro.common.config import SWAP_STYLES, SystemConfig
+from repro.common.config import SystemConfig
 from repro.common.errors import PolicySpecError, UnknownPolicyError
 
 if TYPE_CHECKING:
@@ -50,19 +48,14 @@ if TYPE_CHECKING:
 class PolicySpec:
     """One point in the policy composition space (frozen, hashable).
 
-    Axis defaults mean "inherit": an empty ``swap_style`` /
-    ``stc_replacement`` resolves to the policy class's own default, and
-    a zero ``bypass_rate`` disables the probabilistic bypass.
+    An empty ``stc_replacement`` means "inherit": it resolves to the
+    policy class's own default.
     """
 
     #: Base migration algorithm (a non-guided registered name).
     base: str
     #: RSM fairness guidance on top of the base (Table 7 cases).
     guidance: bool = False
-    #: "" = inherit; otherwise one of :data:`SWAP_STYLES`.
-    swap_style: str = ""
-    #: Probability of dropping a decided promotion (0 = off).
-    bypass_rate: float = 0.0
     #: "" = inherit; otherwise one of :data:`REPLACEMENT_POLICIES`.
     stc_replacement: str = ""
 
@@ -70,15 +63,6 @@ class PolicySpec:
         if not self.base or self.base != self.base.lower():
             raise PolicySpecError(
                 f"base must be a lowercase policy name, got {self.base!r}"
-            )
-        if self.swap_style and self.swap_style not in SWAP_STYLES:
-            raise PolicySpecError(
-                f"swap_style must be one of {SWAP_STYLES}, "
-                f"got {self.swap_style!r}"
-            )
-        if not 0.0 <= self.bypass_rate < 1.0:
-            raise PolicySpecError(
-                f"bypass_rate must be in [0, 1), got {self.bypass_rate!r}"
             )
         if (
             self.stc_replacement
@@ -94,7 +78,7 @@ class PolicySpec:
     # ------------------------------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "PolicySpec":
-        """Parse a ``base[+rsm][+swap:S][+bypass:R][+stc:X]`` string.
+        """Parse a ``base[+rsm][+stc:X]`` string.
 
         The first token must be a registered policy name (a base
         algorithm, or a registered composition like ``profess``, which
@@ -108,12 +92,9 @@ class PolicySpec:
         head = _REGISTRY.get(tokens[0])
         if head is None:
             raise UnknownPolicyError(tokens[0], registry_names())
-        base = head.base
         guidance = head.guidance
-        seen: set[str] = set()
-        swap_style = ""
-        bypass_rate = 0.0
         stc_replacement = ""
+        seen: set[str] = set()
         for token in tokens[1:]:
             axis, _, value = token.partition(":")
             if axis in seen:
@@ -123,29 +104,15 @@ class PolicySpec:
             seen.add(axis)
             if token == "rsm":
                 guidance = True
-            elif axis == "swap" and value:
-                swap_style = value
-            elif axis == "bypass" and value:
-                try:
-                    bypass_rate = float(value)
-                except ValueError:
-                    raise PolicySpecError(
-                        f"bypass rate {value!r} is not a number "
-                        f"(in policy spec {text!r})"
-                    ) from None
             elif axis == "stc" and value:
                 stc_replacement = value
             else:
                 raise PolicySpecError(
                     f"unknown axis token {token!r} in policy spec {text!r}; "
-                    "expected rsm, swap:STYLE, bypass:RATE, or stc:POLICY"
+                    "expected rsm or stc:POLICY"
                 )
         return cls(
-            base=base,
-            guidance=guidance,
-            swap_style=swap_style,
-            bypass_rate=bypass_rate,
-            stc_replacement=stc_replacement,
+            base=head.base, guidance=guidance, stc_replacement=stc_replacement
         )
 
     def canonical(self) -> str:
@@ -164,10 +131,6 @@ class PolicySpec:
             # No registered guided implementation: keep the axis visible
             # (build_policy rejects it with a better message).
             parts.append("rsm")
-        if self.swap_style:
-            parts.append(f"swap:{self.swap_style}")
-        if self.bypass_rate > 0.0:
-            parts.append(f"bypass:{self.bypass_rate:g}")
         if self.stc_replacement:
             parts.append(f"stc:{self.stc_replacement}")
         return "+".join(parts)
@@ -303,9 +266,9 @@ def build_policy(
 ) -> "MigrationPolicy":
     """Construct the policy a spec describes, with axes resolved.
 
-    Each axis takes the spec's explicit value, else the policy class's
-    own default.  The returned instance carries the resolved
-    ``swap_style`` / ``bypass_rate`` / ``stc_replacement`` attributes
+    The STC replacement takes the spec's explicit value, else the
+    policy class's own default; the swap style is always the class's.
+    The returned instance carries the resolved ``stc_replacement``
     (read by the memory controller) and its ``name`` is the spec's
     canonical string, so results label themselves unambiguously.
 
@@ -323,10 +286,7 @@ def build_policy(
             )
         raise UnknownPolicyError(spec.base, registry_names())
     policy = entry.cls(config, **kwargs)
-    policy.swap_style = spec.swap_style or type(policy).swap_style
-    policy.bypass_rate = spec.bypass_rate or type(policy).bypass_rate
-    policy.stc_replacement = (
-        spec.stc_replacement or type(policy).stc_replacement
-    )
+    if spec.stc_replacement:
+        policy.stc_replacement = spec.stc_replacement
     policy.name = spec.canonical()
     return policy

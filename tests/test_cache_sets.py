@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.sets import SetAssociativeCache
+from repro.cache.sets import REPLACEMENT_POLICIES, SetAssociativeCache
 from repro.common.errors import ConfigError
 
 
@@ -141,14 +141,6 @@ class TestModelEquivalence:
 
 
 class TestReplacementPolicies:
-    def test_fifo_ignores_hits(self):
-        cache = SetAssociativeCache[int](1, 2, replacement="fifo")
-        cache.insert(0, 0)
-        cache.insert(4, 4)
-        cache.lookup(0)  # would refresh under LRU
-        victim = cache.insert(8, 8)
-        assert victim[0] == 0  # FIFO: insertion order rules
-
     def test_lru_respects_hits(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lru")
         cache.insert(0, 0)
@@ -156,40 +148,6 @@ class TestReplacementPolicies:
         cache.lookup(0)
         victim = cache.insert(8, 8)
         assert victim[0] == 4
-
-    def test_random_is_deterministic_in_seed(self):
-        def victims(seed):
-            cache = SetAssociativeCache[int](1, 2, replacement="random", seed=seed)
-            out = []
-            for key in range(0, 40, 4):
-                victim = cache.insert(key, key)
-                if victim:
-                    out.append(victim[0])
-            return out
-
-        assert victims(1) == victims(1)
-
-    def test_random_varies_with_seed(self):
-        def victims(seed):
-            cache = SetAssociativeCache[int](1, 4, replacement="random", seed=seed)
-            out = []
-            for key in range(0, 200, 4):
-                victim = cache.insert(key, key)
-                if victim:
-                    out.append(victim[0])
-            return out
-
-        assert any(victims(1)[i] != victims(2)[i] for i in range(10))
-
-    def test_random_evicts_resident_key(self):
-        cache = SetAssociativeCache[int](1, 3, replacement="random")
-        resident = set()
-        for key in range(0, 60, 4):
-            victim = cache.insert(key, key)
-            resident.add(key)
-            if victim:
-                assert victim[0] in resident
-                resident.discard(victim[0])
 
     def test_lfu_evicts_least_frequent(self):
         cache = SetAssociativeCache[int](1, 2, replacement="lfu")
@@ -214,24 +172,15 @@ class TestReplacementPolicies:
         victim = cache.insert(8, 8)
         assert victim[0] == 4
 
-    def test_lru_lip_inserts_at_lru_position(self):
-        cache = SetAssociativeCache[int](1, 2, replacement="lru-lip")
-        cache.insert(0, 0)
-        cache.insert(4, 4)  # LIP: 4 lands at the LRU end
-        victim = cache.insert(8, 8)
-        assert victim[0] == 4
-
-    def test_lru_lip_hit_promotes(self):
-        cache = SetAssociativeCache[int](1, 2, replacement="lru-lip")
-        cache.insert(0, 0)
-        cache.insert(4, 4)
-        cache.lookup(4)  # promote the LIP-inserted entry
-        victim = cache.insert(8, 8)
-        assert victim[0] == 0
-
     def test_unknown_policy_rejected(self):
         import pytest as _pytest
         from repro.common.errors import ConfigError as _ConfigError
 
         with _pytest.raises(_ConfigError):
             SetAssociativeCache(1, 2, replacement="plru")
+
+    @pytest.mark.parametrize("replacement", ["fifo", "random", "lru-lip"])
+    def test_only_lru_and_lfu(self, replacement):
+        assert REPLACEMENT_POLICIES == ("lru", "lfu")
+        with pytest.raises(ConfigError):
+            SetAssociativeCache(1, 2, replacement=replacement)

@@ -71,6 +71,21 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["run", "fig7", "--out"], ["report", "--store"]]
+    )
+    def test_output_dir_that_is_a_file_exits_2_before_simulating(
+        self, argv, tmp_path, capsys
+    ):
+        blocker = tmp_path / "notadir"
+        blocker.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, str(blocker), "--scale", "128"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert captured.out == ""
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -287,6 +302,23 @@ class TestMain:
         assert main(argv) == 0
         assert summary in capsys.readouterr().out
 
+    def test_warm_rerun_appends_no_journal_line(self, tmp_path, capsys):
+        # Cache hits are not journalled: the cold run's completions
+        # already say what a warm rerun finds, so the journal stops
+        # growing once every run is cached.
+        cache = tmp_path / "cache"
+        journal = cache / "journal.jsonl"
+        argv = ["run", "fig7", "--cache-dir", str(cache), "--scale", "128",
+                "--single-requests", "300"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cold_lines = journal.read_text().splitlines()
+        summary = "resume: journal shows 9 completed, 0 failed, 0 pending"
+        for _ in range(2):
+            assert main(argv) == 0
+            assert summary in capsys.readouterr().out
+            assert journal.read_text().splitlines() == cold_lines
+
     def test_report_verbose_prints_counters_and_peak_rss(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -426,6 +458,15 @@ class TestCacheCommand:
         assert (cache_dir / "deadbeef.json").exists()
         assert not list((cache_dir / "quarantine").iterdir())
 
+    def test_missing_dir_exits_2_and_creates_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["cache", "--cache-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "nope" in captured.err
+        assert not missing.exists()
+
     def test_clear_and_prune_together(self, tmp_path, capsys):
         cache_dir = self._populate(tmp_path)
         code = main(
@@ -509,6 +550,18 @@ class TestTraceCommands:
         assert code == 0
         assert out.exists()
         assert "500 requests" in capsys.readouterr().out
+
+    def test_trace_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "t.npz"
+        code = main(
+            ["trace", "zeusmp", str(out), "--requests", "300", "--scale", "128"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"profess trace: cannot write {out}: No such file or directory"
+        ]
+        assert not out.parent.exists()
 
     def test_characterize_program(self, capsys):
         code = main(

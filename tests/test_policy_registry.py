@@ -7,9 +7,8 @@ Covers the full redesigned surface (repro.policies.registry):
 * registry completeness — every registered policy constructible under
   the default ``SystemConfig`` with axes resolved, listed in one order
   whatever a process imports first;
-* axis semantics end-to-end (``noswap`` suppresses migration traffic,
-  ``bypass`` probabilistically drops promotions, STC replacement wires
-  through to the array);
+* axis semantics end-to-end (the STC replacement wires through to the
+  array; the swap type stays the policy class's own);
 * cache-key compatibility — pre-redesign ``SystemConfig.cache_token()``
   and ``RunSpec.cache_key()`` values are pinned as constants, and
   equivalent spec spellings collapse to one key;
@@ -32,11 +31,7 @@ import pytest
 
 import repro
 from repro.cache.sets import REPLACEMENT_POLICIES
-from repro.common.config import (
-    SWAP_STYLES,
-    paper_quad_core,
-    paper_single_core,
-)
+from repro.common.config import paper_quad_core, paper_single_core
 from repro.common.errors import PolicySpecError, UnknownPolicyError
 from repro.exec.executor import execute_spec
 from repro.exec.spec import RunSpec
@@ -76,11 +71,9 @@ class TestSpecParsing:
         )
 
     def test_axes_any_order(self):
-        forward = PolicySpec.parse("mdm+rsm+swap:smart+bypass:0.05+stc:lfu")
-        shuffled = PolicySpec.parse("mdm+stc:lfu+bypass:0.05+rsm+swap:smart")
+        forward = PolicySpec.parse("mdm+rsm+stc:lfu")
+        shuffled = PolicySpec.parse("mdm+stc:lfu+rsm")
         assert forward == shuffled
-        assert forward.swap_style == "smart"
-        assert forward.bypass_rate == 0.05
         assert forward.stc_replacement == "lfu"
         assert forward.guidance
 
@@ -103,13 +96,18 @@ class TestSpecParsing:
             "",
             "+rsm",
             "mdm+rsm+rsm",  # duplicate axis
-            "mdm+swap:warp",  # unknown swap style
             "mdm+stc:plru",  # unknown STC replacement
-            "mdm+bypass:fast",  # non-numeric rate
-            "mdm+bypass:1.0",  # rate out of [0, 1)
-            "mdm+bypass:-0.1",
+            "mdm+stc:fifo",  # STC replacements are lru and lfu only
             "mdm+turbo:on",  # unknown axis
-            "mdm+swap:",  # empty axis value
+            # The swap type belongs to the policy class, and no spec
+            # drops a decided promotion: swap and bypass are no axes.
+            "mdm+swap:fast",
+            "mdm+swap:warp",
+            "mdm+swap:",
+            "mdm+bypass:0.05",
+            "mdm+bypass:fast",
+            "mdm+bypass:1.0",
+            "mdm+bypass:-0.1",
         ],
     )
     def test_malformed_specs_rejected(self, text):
@@ -132,14 +130,14 @@ class TestCanonicalization:
         assert canonical_policy("pom+rsm") == "rsm-pom"
 
     def test_composed_form_is_stable(self):
-        text = "mdm+rsm+swap:smart+bypass:0.05+stc:lfu"
+        text = "mdm+stc:lfu+rsm"
         canonical = canonical_policy(text)
-        assert canonical == "profess+swap:smart+bypass:0.05+stc:lfu"
+        assert canonical == "profess+stc:lfu"
         # Canonicalization is idempotent.
         assert canonical_policy(canonical) == canonical
 
     def test_round_trip_parse_canonical(self):
-        for text in ("pom", "profess", "mdm+stc:lfu", "silcfm+swap:fast"):
+        for text in ("pom", "profess", "mdm+stc:lfu", "pom+rsm+stc:lru"):
             spec = PolicySpec.parse(text)
             assert PolicySpec.parse(spec.canonical()) == spec
 
@@ -158,9 +156,8 @@ class TestRegistryCompleteness:
             policy = build_policy(entry.name, CONFIG)
             assert isinstance(policy, entry.cls)
             assert policy.name == entry.name
-            assert policy.swap_style in SWAP_STYLES
+            assert policy.swap_style in ("fast", "slow")
             assert policy.stc_replacement in REPLACEMENT_POLICIES
-            assert 0.0 <= policy.bypass_rate < 1.0
             assert entry.description  # docstring first line captured
 
     def test_guided_bases(self):
@@ -236,17 +233,16 @@ class TestRegistryOrder:
 
 class TestAxisResolution:
     def test_spec_beats_class_default(self):
-        explicit = build_policy("silcfm+swap:fast+bypass:0.1+stc:lfu", CONFIG)
-        assert explicit.swap_style == "fast"
-        assert explicit.bypass_rate == 0.1
+        explicit = build_policy("silcfm+stc:lfu", CONFIG)
         assert explicit.stc_replacement == "lfu"
+        # The swap type is the class's: no spec overrides it.
+        assert explicit.swap_style == "slow"
 
     def test_class_default_when_nothing_set(self):
         silcfm = build_policy("silcfm", CONFIG)
         assert silcfm.swap_style == "slow"
         mdm = build_policy("mdm", CONFIG)
         assert mdm.swap_style == "fast"
-        assert mdm.bypass_rate == 0.0
         assert mdm.stc_replacement == "lru"
 
 
@@ -265,27 +261,14 @@ def _run(policy: str, requests: int = 400) -> object:
 
 
 class TestAxisBehavior:
-    def test_noswap_suppresses_all_migration_traffic(self):
-        assert _run("mdm+swap:noswap").total_swaps == 0
-
-    def test_bypass_reduces_swaps(self):
-        base = _run("mdm").total_swaps
-        bypassed = _run("mdm+bypass:0.5").total_swaps
-        assert 0 < bypassed < base
-
     def test_default_axes_unchanged_from_plain_run(self):
-        # The bypass RNG must not exist (and draw nothing) at rate 0.
+        # Spelling out the default STC replacement changes the label,
+        # not the simulation.
         plain = _run("mdm")
-        spelled = _run("mdm+swap:fast")
+        spelled = _run("mdm+stc:lru")
+        assert spelled.policy == "mdm+stc:lru"
         assert plain.total_swaps == spelled.total_swaps
         assert plain.cycles == spelled.cycles
-
-    def test_slow_and_smart_styles_cost_extra_moves(self):
-        fast = _run("mdm")
-        slow = _run("mdm+swap:slow")
-        smart = _run("mdm+swap:smart")
-        assert slow.cycles > fast.cycles
-        assert fast.cycles <= smart.cycles <= slow.cycles
 
     def test_stc_replacement_changes_hit_rate(self):
         assert (
@@ -307,7 +290,7 @@ class TestCacheKeyCompatibility:
         spec = RunSpec(
             kind="single",
             programs=("zeusmp",),
-            policy="profess+swap:slow",
+            policy="profess+stc:lfu",
             config=paper_single_core(scale=64),
             requests=60_000,
             seed=0,
@@ -400,12 +383,26 @@ class TestCli:
         assert code == 2
         assert "bypass" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec", ["mdm+swap:slow", "mdm+bypass:0.05", "mdm+stc:random"]
+    )
+    def test_removed_axis_values_exit_2_before_simulating(self, spec, capsys):
+        from repro import cli
+
+        code = cli.main(["run", "ext-policy-matrix", "--policy", spec])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad --policy:")
+        assert captured.out == ""
+
     def test_policies_listing(self, capsys):
         from repro import cli
 
         assert cli.main(["policies"]) == 0
         out = capsys.readouterr().out
-        assert "profess" in out and "swap styles" in out
+        assert "profess" in out
+        assert "base[+rsm][+stc:POLICY]" in out
+        assert "stc replacement: lru, lfu" in out
 
     def test_policies_markdown(self, capsys):
         from repro import cli
