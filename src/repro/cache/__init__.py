@@ -1,9 +1,8 @@
-"""On-chip cache substrate: generic set-associative arrays, the L1/L2/L3
-data hierarchy, and the Swap-group Table Cache (STC) that MDM uses as its
-temporal filter (Section 3.2)."""
+"""On-chip cache substrate: a generic set-associative array and the
+Swap-group Table Cache (STC) that MDM uses as its temporal filter
+(Section 3.2)."""
 
 from repro.cache.sets import SetAssociativeCache
-from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.stc import STC, STCEntry
 
-__all__ = ["CacheHierarchy", "STC", "STCEntry", "SetAssociativeCache"]
+__all__ = ["STC", "STCEntry", "SetAssociativeCache"]

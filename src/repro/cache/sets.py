@@ -1,8 +1,7 @@
 """Generic set-associative cache array with LRU or LFU replacement.
 
-Used directly for the L1/L2/L3 data hierarchy and, with payloads, for the
-Swap-group Table Cache.  Keys are opaque integers (line or group numbers);
-the array does not interpret addresses beyond set indexing.
+The array behind the Swap-group Table Cache.  Keys are opaque integers
+(group numbers); the array does not interpret them beyond set indexing.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ REPLACEMENT_POLICIES = ("lru", "lfu")
 class SetAssociativeCache(Generic[V]):
     """A num_sets x associativity array of (key -> value).
 
-    Each set is an OrderedDict from key to (value, dirty).  Replacement
+    Each set is an OrderedDict from key to value; no value may be None,
+    which ``lookup`` and ``peek`` return for an absent key.  Replacement
     is true LRU (default — hits refresh recency) or LFU (evict the
     least-frequently-accessed entry, insertion-order tie-break).
     ``num_sets`` must be a power of two so indexing is a mask, as in
@@ -61,23 +61,19 @@ class SetAssociativeCache(Generic[V]):
         #: key -> access count since fill (LFU only; keys are globally
         #: unique, so one dict serves every set).
         self._freq: dict[int, int] = {}
-        self._sets: list[OrderedDict[int, list]] = [
+        self._sets: list[OrderedDict[int, V]] = [
             OrderedDict() for _ in range(num_sets)
         ]
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def _set_for(self, key: int) -> OrderedDict:
-        return self._sets[key & self._set_mask]
-
     def lookup(self, key: int) -> Optional[V]:
         """Return the value for ``key`` or None; updates hit/miss stats
         and the key's replacement state."""
-        # _set_for, inlined: lookup runs once per demand request.
         entry_set = self._sets[key & self._set_mask]
-        slot = entry_set.get(key)
-        if slot is None:
+        value = entry_set.get(key)
+        if value is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -85,71 +81,51 @@ class SetAssociativeCache(Generic[V]):
             self._freq[key] = self._freq.get(key, 0) + 1
         else:
             entry_set.move_to_end(key)
-        return slot[0]
+        return value
 
     def peek(self, key: int) -> Optional[V]:
         """Return the value without touching LRU or stats."""
-        slot = self._sets[key & self._set_mask].get(key)
-        return None if slot is None else slot[0]
+        return self._sets[key & self._set_mask].get(key)
 
-    def contains(self, key: int) -> bool:
-        """Presence check without touching LRU or stats."""
-        return key in self._set_for(key)
-
-    def mark_dirty(self, key: int) -> None:
-        """Set the dirty bit of a resident key (no-op when absent)."""
-        slot = self._set_for(key).get(key)
-        if slot is not None:
-            slot[1] = True
-
-    def insert(
-        self, key: int, value: V, dirty: bool = False
-    ) -> Optional[tuple[int, V, bool]]:
-        """Insert ``key``; returns the ``(key, value, dirty)`` it displaced.
+    def insert(self, key: int, value: V) -> Optional[tuple[int, V]]:
+        """Insert ``key``; returns the ``(key, value)`` it displaced.
 
         That is the evicted entry when the set was full, or ``key``'s own
-        previous value and dirty bit when it was already resident (the
-        key is then updated in place and stays resident; this mirrors a
-        fill racing a hit), else None.  A caller tells the two apart by
-        the returned key.
+        previous value when it was already resident (the key is then
+        updated in place and stays resident; this mirrors a fill racing
+        a hit), else None.  A caller tells the two apart by the returned
+        key.
         """
         entry_set = self._sets[key & self._set_mask]
         if key in entry_set:
-            slot = entry_set[key]
-            replaced = (key, slot[0], slot[1])
-            slot[0] = value
-            if dirty:
-                slot[1] = True
+            replaced = (key, entry_set[key])
+            entry_set[key] = value
             entry_set.move_to_end(key)
             if self._is_lfu:
                 self._freq[key] = self._freq.get(key, 0) + 1
             return replaced
-        victim: Optional[tuple[int, V, bool]] = None
+        victim: Optional[tuple[int, V]] = None
         if len(entry_set) >= self.associativity:
             if self._is_lfu:
                 # Least-frequently-used; ties break toward the oldest
                 # insertion (deterministic: OrderedDict iteration order).
                 freq = self._freq
                 victim_key = min(entry_set, key=lambda k: freq.get(k, 0))
-                victim_value, victim_dirty = entry_set.pop(victim_key)
+                victim = (victim_key, entry_set.pop(victim_key))
                 freq.pop(victim_key, None)
             else:  # LRU evicts the oldest-ordered entry
-                victim_key, (victim_value, victim_dirty) = entry_set.popitem(
-                    last=False
-                )
-            victim = (victim_key, victim_value, victim_dirty)
-        entry_set[key] = [value, dirty]
+                victim = entry_set.popitem(last=False)
+        entry_set[key] = value
         if self._is_lfu:
             self._freq[key] = 1
         return victim
 
     def invalidate(self, key: int) -> Optional[V]:
         """Remove ``key`` if present; return its value."""
-        entry_set = self._set_for(key)
-        slot = entry_set.pop(key, None)
+        value = self._sets[key & self._set_mask].pop(key, None)
         if self._is_lfu:
             self._freq.pop(key, None)
-        return None if slot is None else slot[0]
+        return value
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
@@ -157,8 +133,7 @@ class SetAssociativeCache(Generic[V]):
     def items(self):
         """Iterate (key, value) over all resident entries (test helper)."""
         for entry_set in self._sets:
-            for key, (value, _dirty) in entry_set.items():
-                yield key, value
+            yield from entry_set.items()
 
     @property
     def hit_rate(self) -> float:

@@ -11,6 +11,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 from pathlib import Path
@@ -44,6 +46,22 @@ def _directory(value: str) -> Path:
             f"{value!r} exists and is not a directory"
         )
     return path
+
+
+def _cannot_write(command: str, path: Path) -> bool:
+    """Report an output file flag's path that cannot be written.
+
+    Runs before the command does any work; the file may be absent (it
+    is written at the end), its directory may not.
+    """
+    if path.is_dir():
+        reason = os.strerror(errno.EISDIR)
+    elif not path.parent.is_dir():
+        reason = os.strerror(errno.ENOENT)
+    else:
+        return False
+    print(f"profess {command}: cannot write {path}: {reason}", file=sys.stderr)
+    return True
 
 
 def _non_negative_int(value: str) -> int:
@@ -574,6 +592,8 @@ def _report(args: argparse.Namespace) -> int:
     from repro.common.errors import ConfigError, InvalidValueError
     from repro.exec import SweepFailure, format_failure_table
 
+    if _cannot_write("report", args.output):
+        return 2
     try:
         runner = _make_runner(args)
     except InvalidValueError as error:
@@ -808,6 +828,8 @@ def _golden(args: argparse.Namespace) -> int:
 
     from repro.sim.golden import check_against_blobs, golden_digests
 
+    if args.out is not None and _cannot_write("golden", args.out):
+        return 2
     digests = golden_digests()
     for name, digest in sorted(digests.items()):
         print(f"{name:<16} sha256:{digest}")

@@ -144,6 +144,17 @@ class HybridMemoryConfig:
     def __post_init__(self) -> None:
         if self.m1_capacity_per_channel % self.block_size:
             raise ConfigError("M1 capacity must be a multiple of block size")
+        # The address split is masks and shifts (repro.hybrid.address).
+        if not is_power_of_two(self.groups_per_channel):
+            raise ConfigError(
+                "groups per channel (M1 capacity / block size) must be a "
+                "power of two"
+            )
+        if not is_power_of_two(self.lines_per_block):
+            raise ConfigError(
+                "lines per block (block size / line size) must be a power "
+                "of two"
+            )
         if not is_power_of_two(self.num_regions):
             raise ConfigError("num_regions must be a power of two")
         if self.page_size != 2 * self.block_size:
@@ -216,6 +227,11 @@ class STCConfig:
     associativity: int = 8
     entry_size: int = 8
     latency_cycles: int = 2
+
+    def __post_init__(self) -> None:
+        # The serve hop after an STC hit lands a strictly later cycle.
+        if self.latency_cycles < 1:
+            raise ConfigError("STC latency_cycles must be >= 1")
 
     @property
     def num_entries(self) -> int:
@@ -425,8 +441,8 @@ class SystemConfig:
             raise ConfigError("num_cores must be >= 1")
         if self.frfcfs_cap < 1:
             raise ConfigError("frfcfs_cap must be >= 1")
-        if self.num_channels < 1:
-            raise ConfigError("num_channels must be >= 1")
+        if not is_power_of_two(self.num_channels):
+            raise ConfigError("num_channels must be a power of two >= 1")
         if self.hybrid.num_regions <= self.num_cores:
             raise ConfigError(
                 "need more regions than cores so private regions stay a "
@@ -530,7 +546,11 @@ def _scaled_stc(capacity: int, scale: int) -> STCConfig:
 
 
 def _scaled_l3(capacity: int, scale: int) -> CacheLevelConfig:
-    """Scale the L3 with M1 (used only by the CPU-trace pipeline)."""
+    """Scale the L3 with M1.
+
+    Simulations read main-memory traces, so nothing reads the L3; it
+    stays in the config because every cache key hashes it.
+    """
     return CacheLevelConfig(max(capacity // scale, 64 * KB), 16, 20)
 
 

@@ -1,12 +1,12 @@
 """Trace-driven CPU substrate.
 
 :mod:`repro.cpu.trace` defines the main-memory trace format (instruction
-gap, 64-B virtual line, read/write) plus file I/O and a raw-address-stream
-filter through the cache hierarchy; :mod:`repro.cpu.core_model` is the
-timing model that replays a trace against the hybrid memory controller.
+gap, 64-B virtual line, read/write) plus file I/O;
+:mod:`repro.cpu.core_model` is the timing model that replays a trace
+against the hybrid memory controller.
 """
 
-from repro.cpu.trace import Trace, filter_through_caches
+from repro.cpu.trace import Trace
 from repro.cpu.core_model import TraceCore
 
-__all__ = ["Trace", "TraceCore", "filter_through_caches"]
+__all__ = ["Trace", "TraceCore"]

@@ -6,10 +6,8 @@ the previous memory request), ``lines`` (virtual 64-B line numbers), and
 Pin-based simulator feeds its memory system per L3 miss, and all of what
 the evaluated policies can observe.
 
-Traces can be synthesized (:mod:`repro.traces`), loaded/saved as ``.npz``
-files, or derived from a raw address stream by filtering through the
-:class:`~repro.cache.hierarchy.CacheHierarchy` substrate with
-:func:`filter_through_caches`.
+Traces are synthesized (:mod:`repro.traces`) or loaded/saved as ``.npz``
+files.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import Iterable, Iterator, Tuple
 import numpy as np
 
 from repro.common.errors import TraceError
-from repro.cache.hierarchy import CacheHierarchy
 
 TraceRecord = Tuple[int, int, bool]
 
@@ -115,41 +112,3 @@ class Trace:
             writes=self.writes[:max_requests],
         )
 
-
-def filter_through_caches(
-    instruction_stream: Iterable[TraceRecord],
-    hierarchy: CacheHierarchy,
-) -> Trace:
-    """Derive a main-memory trace from a raw (pre-L1) access stream.
-
-    Each record of ``instruction_stream`` is (gap, line, is_write) at the
-    L1 boundary.  Accesses that hit any cache level contribute only to the
-    instruction gap of the next miss; misses and last-level dirty
-    writebacks become trace records.  This is the substrate path mirroring
-    the paper's Pin + cache-model front end.
-    """
-    gaps: list[int] = []
-    lines: list[int] = []
-    writes: list[bool] = []
-    pending_gap = 0
-    for gap, line, is_write in instruction_stream:
-        pending_gap += gap
-        result = hierarchy.access(line, is_write)
-        if result.is_memory_access:
-            gaps.append(pending_gap)
-            lines.append(line)
-            writes.append(False)  # demand fill is a read
-            pending_gap = 0
-        else:
-            pending_gap += 1
-        for victim in result.writebacks:
-            gaps.append(0)
-            lines.append(victim)
-            writes.append(True)
-    if not gaps:
-        raise TraceError("instruction stream produced no memory accesses")
-    return Trace(
-        gaps=np.array(gaps, dtype=np.int64),
-        lines=np.array(lines, dtype=np.int64),
-        writes=np.array(writes, dtype=bool),
-    )

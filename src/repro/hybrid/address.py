@@ -14,8 +14,9 @@ regions follow Figure 3's pattern: group pair (2k, 2k+1) belongs to region
 ``k mod num_regions``.
 
 Every quantity here is a pure function of the configuration, so the
-per-request work is precomputed where it pays: power-of-two divisors
-become masks and shifts at construction time, and the simulator reads
+per-request work is precomputed where it pays: the configuration makes
+groups, lines per block and regions powers of two, so the splits are
+masks and shifts fixed at construction time, and the simulator reads
 device locations as plain ``(channel, bank_key, row)`` tuples from two
 flat lists (data blocks and ST entries) that integer arithmetic fills
 on first touch.  The lists have a slot per location (9,216 data slots at
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigError
+from repro.common.units import log2_exact
 from repro.mem.request import DeviceAddress, Module
 
 
@@ -56,13 +57,6 @@ class BlockLocation:
     row: int = 0
 
 
-def _mask_and_shift(value: int) -> tuple[int, int] | None:
-    """(mask, shift) when ``value`` is a power of two, else None."""
-    if value >= 1 and value & (value - 1) == 0:
-        return value - 1, value.bit_length() - 1
-    return None
-
-
 class AddressMap:
     """Pure-arithmetic mapping between blocks, groups, pages, and devices."""
 
@@ -81,17 +75,12 @@ class AddressMap:
         #: 8-B ST entries per 64-B line, and 64-B lines per 8-KB row.
         self.st_entries_per_line = 64 // 8
         self.st_lines_per_row = hybrid.row_buffer_size // hybrid.line_size
-        if self.total_groups % self.num_channels:
-            raise ConfigError("total groups must divide evenly over channels")
-        # Power-of-two fast paths (always taken for the paper geometry:
-        # every divisor below is a power of two there).
-        self._groups_ms = _mask_and_shift(self.total_groups)
-        self._lines_ms = _mask_and_shift(self.lines_per_block)
-        self._regions_mask = (
-            self.num_regions - 1
-            if _mask_and_shift(self.num_regions) is not None
-            else None
-        )
+        # Powers of two by construction (HybridMemoryConfig and
+        # SystemConfig check them), so each split is a mask or a shift.
+        self.groups_mask = self.total_groups - 1
+        self.groups_shift = log2_exact(self.total_groups)
+        self.lines_shift = log2_exact(self.lines_per_block)
+        self._regions_mask = self.num_regions - 1
         #: Lazily filled ``(channel, bank_key, row)`` tuples, indexed by
         #: ``group * group_size + location`` (data) and by group (ST);
         #: None until first touch.  The controller indexes them directly
@@ -109,38 +98,11 @@ class AddressMap:
     # -- block/group arithmetic -----------------------------------------
     def group_of_block(self, block: int) -> int:
         """Swap group of an original block address."""
-        ms = self._groups_ms
-        if ms is not None:
-            return block & ms[0]
-        return block % self.total_groups
+        return block & self.groups_mask
 
     def slot_of_block(self, block: int) -> int:
         """Home slot (0..group_size-1) of an original block address."""
-        ms = self._groups_ms
-        if ms is not None:
-            return block >> ms[1]
-        return block // self.total_groups
-
-    def group_and_slot_of_line(self, line: int) -> tuple[int, int, int]:
-        """(block, group, slot) of an original 64-B line address.
-
-        The controller's per-request translation, fused into one call so
-        the hot path performs two shifts and a mask instead of three
-        method calls with a division each.
-        """
-        lines_ms = self._lines_ms
-        if lines_ms is not None:
-            block = line >> lines_ms[1]
-        else:
-            block = line // self.lines_per_block
-        groups_ms = self._groups_ms
-        if groups_ms is not None:
-            return block, block & groups_ms[0], block >> groups_ms[1]
-        return (
-            block,
-            block % self.total_groups,
-            block // self.total_groups,
-        )
+        return block >> self.groups_shift
 
     def block_of(self, group: int, slot: int) -> int:
         """Original block address for (group, slot)."""
@@ -157,14 +119,11 @@ class AddressMap:
     # -- regions and pages (Figure 3) ------------------------------------
     def region_of_group(self, group: int) -> int:
         """Interleaved region of a swap group: pair (2k, 2k+1) -> k mod R."""
-        mask = self._regions_mask
-        if mask is not None:
-            return (group >> 1) & mask
-        return (group >> 1) % self.num_regions
+        return (group >> 1) & self._regions_mask
 
     def region_of_groups(self, groups: np.ndarray) -> np.ndarray:
         """:meth:`region_of_group` over an array of (non-negative) groups."""
-        return (groups >> 1) % self.num_regions
+        return (groups >> 1) & self._regions_mask
 
     def region_of_pages(self, pages: np.ndarray) -> np.ndarray:
         """:meth:`region_of_page` over an array of (non-negative) frames."""

@@ -96,8 +96,6 @@ class HybridMemoryController:
         "_stc_peek",
         "_stc_insert",
         "_serve_cb",
-        "_group_and_slot_of_line",
-        "_fast_addr",
         "_lines_shift",
         "_groups_mask",
         "_groups_shift",
@@ -210,18 +208,10 @@ class HybridMemoryController:
         self._stc_peek = self.stc.peek
         self._stc_insert = self.stc.insert
         self._serve_cb = self._serve
-        self._group_and_slot_of_line = self.address_map.group_and_slot_of_line
-        # Power-of-two address split, inlined into ``access`` (always
-        # taken for the paper geometry); non-power-of-two configurations
-        # fall back to the fused AddressMap method.
-        lines_ms = self.address_map._lines_ms
-        groups_ms = self.address_map._groups_ms
-        self._fast_addr = lines_ms is not None and groups_ms is not None
-        if self._fast_addr:
-            self._lines_shift = lines_ms[1]
-            self._groups_mask, self._groups_shift = groups_ms
-        else:
-            self._lines_shift = self._groups_mask = self._groups_shift = 0
+        # The address split ``access`` inlines (AddressMap's shifts).
+        self._lines_shift = self.address_map.lines_shift
+        self._groups_mask = self.address_map.groups_mask
+        self._groups_shift = self.address_map.groups_shift
         # Region of every group, tabulated once: ``_serve`` replaces the
         # per-request arithmetic call with one list index.
         self._region_of = self.address_map.region_of_groups(
@@ -290,21 +280,19 @@ class HybridMemoryController:
         on_complete: Optional[CompletionCallback] = None,
     ) -> None:
         """Serve one 64-B demand request at an original physical ``line``."""
-        if self._fast_addr:
-            block = line >> self._lines_shift
-            group = block & self._groups_mask
-            slot = block >> self._groups_shift
-        else:
-            _block, group, slot = self._group_and_slot_of_line(line)
+        block = line >> self._lines_shift
+        group = block & self._groups_mask
+        slot = block >> self._groups_shift
         stc_entry = self._stc_lookup(group)
         # One bound ``_serve`` under a partial instead of a fresh closure
         # per request: same callback shape, far less allocation.
         if stc_entry is not None:
             # The serve hop carries the probed entry, so it need not
             # probe again.  Inline-push contract (events.py): the STC hit
-            # lands a strictly-future cycle (latency_cycles > 0), so it
-            # goes straight onto the heap.  ``events._now`` directly: the
-            # ``now`` property costs a descriptor call per request here.
+            # lands a strictly-future cycle (STCConfig makes
+            # latency_cycles >= 1), so it goes straight onto the heap.
+            # ``events._now`` directly: the ``now`` property costs a
+            # descriptor call per request here.
             proceed = partial(
                 self._serve_cb,
                 core_id,
@@ -315,13 +303,11 @@ class HybridMemoryController:
                 stc_entry,
             )
             events = self.events
-            latency = self._stc_latency
-            if latency:
-                seq = events._seq
-                _heappush(events._heap, (events._now + latency, seq, proceed))
-                events._seq = seq + 1
-            else:
-                events._fifo.append(proceed)
+            seq = events._seq
+            _heappush(
+                events._heap, (events._now + self._stc_latency, seq, proceed)
+            )
+            events._seq = seq + 1
         else:
             # The fill hands the entry it inserts to the serve hop.
             self._fetch_st_entry(
@@ -423,13 +409,15 @@ class HybridMemoryController:
             stats.reads += 1
 
         # Migration decision (off the critical path, Section 3.2.3).
-        # ``owner`` inlines owner_of_slot: frame = block_of(...) // 2.
+        # The block's owner is the requesting program: a core's lines
+        # are translated by its own program's page table, so
+        # ``owner_of_slot(group, slot)`` is ``program`` here.
         ctx = self._ctx
         ctx.group = group
         ctx.slot = slot
         ctx.location = location
         ctx.is_write = is_write
-        ctx.owner = self._frame_owners[(slot * self._total_groups + group) >> 1]
+        ctx.owner = program
         ctx.m1_owner = st_entry.m1_owner
         ctx.st_entry = st_entry
         ctx.stc_entry = stc_entry

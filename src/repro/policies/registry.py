@@ -25,9 +25,11 @@ mapping and is the ONLY sanctioned way to construct a policy outside
 
 Canonicalization keeps cache keys stable and deduplicated: a spec whose
 axes match a registered name exactly renders back to that name
-(``mdm+rsm`` -> ``profess``), so pre-redesign :class:`~repro.exec.spec.
-RunSpec` cache keys for plain policy names are untouched, and equivalent
-spellings of one composition share a single cached result.
+(``mdm+rsm`` -> ``profess``), and an STC replacement equal to the
+class's own default is left out (``mdm+stc:lru`` -> ``mdm``), so
+pre-redesign :class:`~repro.exec.spec.RunSpec` cache keys for plain
+policy names are untouched, and equivalent spellings of one composition
+share a single cached result.
 """
 
 from __future__ import annotations
@@ -119,9 +121,11 @@ class PolicySpec:
         """The canonical text form (stable: feeds cache keys and labels).
 
         The (base, guidance) pair renders as its registered name when
-        one exists (``mdm`` + guidance -> ``profess``), so a spec with
-        default axes round-trips to exactly the legacy policy name and
-        pre-redesign cache keys are preserved.
+        one exists (``mdm`` + guidance -> ``profess``), and an STC
+        replacement equal to that class's default is omitted, as
+        "inherit" is: a spec with default axes renders as exactly the
+        legacy policy name, however it was spelled, and pre-redesign
+        cache keys are preserved.
         """
         _ensure_loaded()
         registered = _BY_AXES.get((self.base, self.guidance))
@@ -131,7 +135,10 @@ class PolicySpec:
             # No registered guided implementation: keep the axis visible
             # (build_policy rejects it with a better message).
             parts.append("rsm")
-        if self.stc_replacement:
+        if self.stc_replacement and (
+            registered is None
+            or self.stc_replacement != registered.cls.stc_replacement
+        ):
             parts.append(f"stc:{self.stc_replacement}")
         return "+".join(parts)
 

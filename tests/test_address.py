@@ -177,18 +177,19 @@ class _PromoteAndRecord(MigrationPolicy):
 
 
 def _odd_geometry():
-    """Three channels, 7-location groups, 24-line blocks, 12 banks."""
+    """7-location groups, 3-block rows, 12 banks: no power of two in the
+    row and bank divmods, over 64 groups per channel of 16-line blocks."""
     hybrid = HybridMemoryConfig(
-        m1_capacity_per_channel=96 * 1536,
+        m1_capacity_per_channel=64 * 1024,
         m2_to_m1_ratio=6,
-        block_size=1536,
-        page_size=3072,
+        block_size=1024,
+        page_size=2048,
         num_regions=4,
         banks_per_rank=12,
-        row_buffer_size=6144,
+        row_buffer_size=3072,
     )
     return replace(
-        paper_quad_core(scale=128), num_cores=3, num_channels=3, hybrid=hybrid
+        paper_quad_core(scale=128), num_cores=3, num_channels=2, hybrid=hybrid
     )
 
 

@@ -57,20 +57,14 @@ class TestBasics:
         cache = SetAssociativeCache[int](1, 1)
         cache.insert(1, 10)
         # Nothing is evicted: insert reports the key's own displaced
-        # (key, value, dirty), and the key stays resident.
-        assert cache.insert(1, 20) == (1, 10, False)
+        # (key, value), and the key stays resident.
+        assert cache.insert(1, 20) == (1, 10)
         assert cache.peek(1) == 20
 
-    def test_dirty_propagation(self):
+    def test_eviction_returns_key_and_value(self):
         cache = SetAssociativeCache[int](1, 1)
-        cache.insert(1, 1)
-        cache.mark_dirty(1)
-        assert cache.insert(2, 2) == (1, 1, True)  # (key, value, dirty)
-
-    def test_insert_dirty(self):
-        cache = SetAssociativeCache[int](1, 1)
-        cache.insert(1, 1, dirty=True)
-        assert cache.insert(2, 2) == (1, 1, True)
+        cache.insert(1, 11)
+        assert cache.insert(2, 22) == (1, 11)
 
     def test_invalidate(self):
         cache = SetAssociativeCache[int](1, 2)
@@ -78,12 +72,12 @@ class TestBasics:
         assert cache.invalidate(1) == 11
         assert cache.lookup(1) is None
 
-    def test_contains_stat_free(self):
+    def test_peek_is_stat_free(self):
         cache = SetAssociativeCache[int](1, 2)
         cache.insert(1, 1)
-        assert cache.contains(1)
-        assert not cache.contains(2)
-        assert cache.misses == 0
+        assert cache.peek(1) == 1
+        assert cache.peek(2) is None
+        assert cache.hits == cache.misses == 0
 
     def test_len_and_items(self):
         cache = SetAssociativeCache[int](2, 2)

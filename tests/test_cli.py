@@ -86,6 +86,23 @@ class TestParser:
         assert "not a directory" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--output"], ["golden", "--out"]],
+        ids=["report --output", "golden --out"],
+    )
+    def test_output_file_in_missing_dir_exits_2_before_work(
+        self, argv, tmp_path, capsys
+    ):
+        out = tmp_path / "missing_dir" / "out"
+        assert main([*argv, str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"profess {argv[0]}: cannot write {out}: No such file or directory"
+        ]
+        assert not out.parent.exists()
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -71,6 +71,20 @@ class TestHybridGeometry:
         with pytest.raises(ConfigError):
             HybridMemoryConfig(m1_capacity_per_channel=256 * KB)
 
+    def test_rejects_non_power_of_two_groups_per_channel(self):
+        # 1,536 groups: a multiple of the block size, not a power of two.
+        with pytest.raises(ConfigError, match="groups per channel"):
+            HybridMemoryConfig(m1_capacity_per_channel=3 * MB)
+
+    def test_rejects_non_power_of_two_lines_per_block(self):
+        # 1.5-KB blocks of 24 lines, 3-KB pages.
+        with pytest.raises(ConfigError, match="lines per block"):
+            HybridMemoryConfig(
+                m1_capacity_per_channel=1024 * 1536,
+                block_size=1536,
+                page_size=3072,
+            )
+
 
 class TestSystemDerived:
     def test_total_capacity_is_nine_m1(self):
@@ -180,6 +194,17 @@ class TestSubConfigs:
     def test_system_rejects_zero_cores(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_cores=0)
+
+    @pytest.mark.parametrize("channels", [0, 3, 6])
+    def test_system_rejects_non_power_of_two_channels(self, channels):
+        with pytest.raises(ConfigError, match="num_channels"):
+            dataclasses.replace(
+                paper_quad_core(scale=64), num_channels=channels
+            )
+
+    def test_stc_rejects_a_same_cycle_probe(self):
+        with pytest.raises(ConfigError, match="latency_cycles"):
+            STCConfig(latency_cycles=0)
 
 
 class TestTokenMemo:

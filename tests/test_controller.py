@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import paper_quad_core, STCConfig
 from repro.common.events import EventQueue
 from repro.hybrid.memory import HybridMemoryController
-from repro.policies.registry import build_policy
+from repro.policies.registry import build_policy, registry_names
 from repro.policies.base import AccessContext, MigrationPolicy
+from repro.sim.engine import SimulationDriver
+from repro.traces.generator import synthesize_trace
 
 CONFIG = paper_quad_core(scale=64)
 
@@ -417,3 +419,45 @@ class TestRSMIntegration:
             events.run()
             assert controller.total_swaps == 1
             assert controller.rsm.counters[0].num_swap_total == 0
+
+
+class TestServedOwner:
+    @pytest.mark.parametrize("policy", registry_names())
+    def test_served_block_belongs_to_the_requesting_program(self, policy):
+        # ``_serve`` hands the policy the requesting core's program as
+        # the block's owner; lockstep over a whole quad run, that is the
+        # block's frame owner for every served demand request.
+        config = paper_quad_core(scale=256)
+        traces = [
+            (name, synthesize_trace(name, 400, scale=256, seed=seed))
+            for seed, name in enumerate(("mcf", "soplex", "lbm", "GemsFDTD"))
+        ]
+        driver = SimulationDriver(config, policy, traces, seed=0)
+        controller = driver.controller
+        requester = []
+        served = []
+        rsm_on_request = controller._rsm_on_request
+        policy_on_access = controller._policy_on_access
+
+        def on_request(program, *args):
+            requester.append(program)
+            rsm_on_request(program, *args)
+
+        def on_access(ctx):
+            served.append(
+                (
+                    requester.pop(),
+                    ctx.owner,
+                    controller.owner_of_slot(ctx.group, ctx.slot),
+                )
+            )
+            return policy_on_access(ctx)
+
+        controller._rsm_on_request = on_request
+        controller._policy_on_access = on_access
+        driver.run()
+        assert len(served) == controller.total_requests() > 0
+        assert all(
+            program == owner == frame_owner
+            for program, owner, frame_owner in served
+        )

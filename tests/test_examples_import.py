@@ -28,6 +28,5 @@ def test_expected_examples_present():
         "fairness_study",
         "custom_policy",
         "capacity_sweep",
-        "cache_filtered_trace",
         "multithreaded",
     } <= names

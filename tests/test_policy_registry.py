@@ -128,6 +128,9 @@ class TestCanonicalization:
     def test_equivalent_spelling_collapses(self):
         assert canonical_policy("mdm+rsm") == "profess"
         assert canonical_policy("pom+rsm") == "rsm-pom"
+        # An explicit class-default STC replacement is the inherited one.
+        assert canonical_policy("pom+rsm+stc:lru") == "rsm-pom"
+        assert PolicySpec("mdm", stc_replacement="lru").canonical() == "mdm"
 
     def test_composed_form_is_stable(self):
         text = "mdm+stc:lfu+rsm"
@@ -137,7 +140,7 @@ class TestCanonicalization:
         assert canonical_policy(canonical) == canonical
 
     def test_round_trip_parse_canonical(self):
-        for text in ("pom", "profess", "mdm+stc:lfu", "pom+rsm+stc:lru"):
+        for text in ("pom", "profess", "mdm+stc:lfu", "pom+rsm+stc:lfu"):
             spec = PolicySpec.parse(text)
             assert PolicySpec.parse(spec.canonical()) == spec
 
@@ -246,29 +249,31 @@ class TestAxisResolution:
         assert mdm.stc_replacement == "lru"
 
 
-def _run(policy: str, requests: int = 400) -> object:
-    config = paper_quad_core(scale=256)
-    spec = RunSpec(
+def _spec(policy: str, requests: int = 400) -> RunSpec:
+    return RunSpec(
         kind="multi",
         programs=("zeusmp", "mcf"),
         policy=policy,
-        config=config,
+        config=paper_quad_core(scale=256),
         requests=requests,
         seed=0,
         trace_scale=256,
     )
-    return execute_spec(spec)
+
+
+def _run(policy: str, requests: int = 400) -> object:
+    return execute_spec(_spec(policy, requests))
 
 
 class TestAxisBehavior:
     def test_default_axes_unchanged_from_plain_run(self):
-        # Spelling out the default STC replacement changes the label,
-        # not the simulation.
-        plain = _run("mdm")
-        spelled = _run("mdm+stc:lru")
-        assert spelled.policy == "mdm+stc:lru"
-        assert plain.total_swaps == spelled.total_swaps
-        assert plain.cycles == spelled.cycles
+        # Spelling out the default STC replacement names the plain run:
+        # one label and one cache key for one simulation.
+        for plain in ("mdm", "profess"):
+            spelled = f"{plain}+stc:lru"
+            assert canonical_policy(spelled) == plain
+            assert _spec(spelled).cache_key() == _spec(plain).cache_key()
+        assert _run("mdm+stc:lru").policy == "mdm"
 
     def test_stc_replacement_changes_hit_rate(self):
         assert (

@@ -1,12 +1,10 @@
-"""Trace container and cache-filter tests."""
+"""Trace container tests."""
 
 import numpy as np
 import pytest
 
-from repro.cache.hierarchy import CacheHierarchy
-from repro.common.config import CacheLevelConfig
 from repro.common.errors import TraceError
-from repro.cpu.trace import Trace, filter_through_caches
+from repro.cpu.trace import Trace
 
 
 def simple_trace():
@@ -78,29 +76,3 @@ class TestTrace:
         with pytest.raises(TraceError):
             Trace.load(tmp_path / "missing.npz")
 
-
-class TestCacheFilter:
-    def test_hits_are_filtered_out(self):
-        hierarchy = CacheHierarchy([CacheLevelConfig(64 * 64, 4, 2)])
-        stream = [(0, 5, False)] * 10  # same line: one miss, nine hits
-        trace = filter_through_caches(stream, hierarchy)
-        assert len(trace) == 1
-
-    def test_gaps_accumulate_across_hits(self):
-        hierarchy = CacheHierarchy([CacheLevelConfig(64 * 64, 4, 2)])
-        stream = [(3, 5, False), (3, 5, False), (3, 6, False)]
-        trace = filter_through_caches(stream, hierarchy)
-        # Second miss carries its own gap + the hit's gap + 1 retired hit.
-        assert trace.gaps[1] == 3 + 3 + 1
-
-    def test_writebacks_appear_as_writes(self):
-        hierarchy = CacheHierarchy([CacheLevelConfig(2 * 64, 2, 2)])
-        stream = [(0, 0, True)] + [(0, line, False) for line in range(1, 8)]
-        trace = filter_through_caches(stream, hierarchy)
-        assert bool(trace.writes.any())
-
-    def test_all_hits_rejected(self):
-        hierarchy = CacheHierarchy([CacheLevelConfig(64 * 64, 4, 2)])
-        hierarchy.access(5)
-        with pytest.raises(TraceError):
-            filter_through_caches([(0, 5, False)], hierarchy)
