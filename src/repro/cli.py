@@ -830,6 +830,13 @@ def _golden(args: argparse.Namespace) -> int:
 
     if args.out is not None and _cannot_write("golden", args.out):
         return 2
+    if args.check is not None and not args.check.is_dir():
+        # Exit 1 means drift from the blobs; a mistyped path is not that.
+        print(
+            f"profess golden: no golden directory {str(args.check)!r}",
+            file=sys.stderr,
+        )
+        return 2
     digests = golden_digests()
     for name, digest in sorted(digests.items()):
         print(f"{name:<16} sha256:{digest}")

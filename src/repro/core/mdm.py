@@ -98,14 +98,9 @@ class MDMPolicy(MigrationPolicy):
 
     def _decide_m2(self, ctx: AccessContext, m1_vacant: bool) -> bool:
         """The Section 3.2.3 decision tree for an M2 access."""
-        owner = ctx.owner
-        if owner is None:
-            # A block outside any allocated page cannot be accessed by a
-            # program; be conservative if it ever happens.
-            return False
         q_i2 = ctx.stc_entry.qac_at_insert[ctx.slot]
         count_now = ctx.stc_entry.count(ctx.slot)
-        rem_m2 = self.remaining_count(owner, q_i2, count_now)
+        rem_m2 = self.remaining_count(ctx.owner, q_i2, count_now)
         if self.record_predictions:
             key = (ctx.group, ctx.slot)
             if key not in self._open_predictions:

@@ -102,7 +102,7 @@ TABLE7_CASES: tuple[Table7Case, ...] = (1, 2, 3, "default", "same")
 
 def table7_classifier(
     config: ProFessConfig,
-) -> Callable[[Optional[RSM], Optional[int], Optional[int]], Table7Case]:
+) -> Callable[[Optional[RSM], Optional[int], int], Table7Case]:
     """Table 7 (Section 3.3): which case one guided decision takes.
 
     The returned ``classify(rsm, c_m1, c_m2)`` reads the slowdown factors
@@ -125,7 +125,7 @@ def table7_classifier(
     case3_enabled = config.case3_enabled
 
     def classify(
-        rsm: Optional[RSM], c_m1: Optional[int], c_m2: Optional[int]
+        rsm: Optional[RSM], c_m1: Optional[int], c_m2: int
     ) -> Table7Case:
         if c_m1 is None or c_m1 == c_m2:
             return "same"

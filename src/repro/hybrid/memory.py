@@ -73,7 +73,6 @@ class HybridMemoryController:
         "config",
         "events",
         "policy",
-        "program_of_core",
         "num_programs",
         "address_map",
         "energy",
@@ -122,24 +121,23 @@ class HybridMemoryController:
         policy: MigrationPolicy,
         seed: int = 0,
         track_rsm_regions: bool = False,
-        program_of_core: Optional[list[int]] = None,
+        num_programs: Optional[int] = None,
     ) -> None:
         self.config = config
         self.events = events
         self.policy = policy
-        # Section 3.1.1: all threads of a multi-threaded program appear to
-        # RSM and MDM as a single program; the mapping below is the
-        # hardware lookup table that routes a core's requests to its
-        # program's counter sets.  Default: one single-threaded program
-        # per core.
-        if program_of_core is None:
-            program_of_core = list(range(config.num_cores))
-        if len(program_of_core) != config.num_cores:
-            raise ConfigError("program_of_core must name every core")
-        self.program_of_core = list(program_of_core)
-        self.num_programs = max(self.program_of_core) + 1
-        if set(self.program_of_core) != set(range(self.num_programs)):
-            raise ConfigError("program ids must be dense starting at 0")
+        # One single-threaded program per core: cores 0..num_programs-1
+        # run programs 0..num_programs-1 (program id = core id), and the
+        # rest stay idle, owning no private region and no RSM counter
+        # set.  Default: every core runs a program.
+        if num_programs is None:
+            num_programs = config.num_cores
+        if not 1 <= num_programs <= config.num_cores:
+            raise ConfigError(
+                f"num_programs must be 1..{config.num_cores}, "
+                f"got {num_programs}"
+            )
+        self.num_programs = num_programs
         self.address_map = AddressMap(config)
         swap_latency = config.swap_latency_cycles()
         self.channels = [
@@ -232,8 +230,7 @@ class HybridMemoryController:
         # path compares one per served request.
         private_region = self.region_map.private_region
         self._private_of = [
-            private_region.get(program, -1)
-            for program in range(self.num_programs)
+            private_region[program] for program in range(self.num_programs)
         ]
         self._rsm_on_request = self.rsm.on_request
         self._policy_on_access = policy.on_access
@@ -247,7 +244,7 @@ class HybridMemoryController:
             slot=0,
             location=0,
             is_write=False,
-            owner=None,
+            owner=0,
             m1_owner=None,
             st_entry=None,  # type: ignore[arg-type]
             stc_entry=None,  # type: ignore[arg-type]
@@ -390,13 +387,12 @@ class HybridMemoryController:
         counters[slot] = bumped if bumped < counter_max else counter_max
 
         # RSM request counters (Table 3): one count per request, routed
-        # to the requesting core's *program* (Section 3.1.1).
-        program = self.program_of_core[core_id]
+        # to the requesting core's program (program id = core id).
         region = self._region_of[group]
         self._rsm_on_request(
-            program,
+            core_id,
             region,
-            self._private_of[program] == region,
+            self._private_of[core_id] == region,
             served_from_m1,
         )
 
@@ -409,15 +405,15 @@ class HybridMemoryController:
             stats.reads += 1
 
         # Migration decision (off the critical path, Section 3.2.3).
-        # The block's owner is the requesting program: a core's lines
-        # are translated by its own program's page table, so
-        # ``owner_of_slot(group, slot)`` is ``program`` here.
+        # The block's owner is the requesting core's program: its lines
+        # are translated by that program's own page table, so
+        # ``owner_of_slot(group, slot)`` is ``core_id`` here.
         ctx = self._ctx
         ctx.group = group
         ctx.slot = slot
         ctx.location = location
         ctx.is_write = is_write
-        ctx.owner = program
+        ctx.owner = core_id
         ctx.m1_owner = st_entry.m1_owner
         ctx.st_entry = st_entry
         ctx.stc_entry = stc_entry
@@ -491,9 +487,10 @@ class HybridMemoryController:
         if not self.region_map.is_private(self._region_of[group]):
             # Swaps in private regions are not counted (Section 3.1.2).
             self.rsm.on_swap(owner_promoted, owner_demoted)
-        # Explicit pair instead of iterating a {a, b} set literal: with a
-        # None member, set order is address-dependent (D104), and dedup
-        # must not rely on hashing.
+        # A program id is its core id, so the owners index the per-core
+        # stats.  Explicit pair instead of iterating a {a, b} set literal:
+        # with a None member, set order is address-dependent (D104), and
+        # dedup must not rely on hashing.
         if owner_promoted is not None:
             self.core_stats[owner_promoted].swaps_involving += 1
         if owner_demoted is not None and owner_demoted != owner_promoted:

@@ -17,7 +17,7 @@ plausible first-touch OS policy.
 from __future__ import annotations
 
 from itertools import cycle
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -92,10 +92,6 @@ class OSAllocator:
             (address_map.total_blocks + 1) // 2
         )
 
-    def free_frames(self, region: int) -> int:
-        """Free frames remaining in ``region``."""
-        return len(self._free[region])
-
     def allocate(self, program: int, num_pages: int) -> list[int]:
         """Allocate ``num_pages`` frames to ``program``.
 
@@ -127,26 +123,15 @@ class OSAllocator:
                     )
         return frames
 
-    def release(self, program: int, frames: Sequence[int]) -> None:
-        """Return frames to their regions' free lists."""
-        owners = self._owner
-        for frame in frames:
-            if owners[frame] != program:
-                raise SimulationError(
-                    f"frame {frame} not owned by program {program}"
-                )
-            owners[frame] = None
-            self._free[self._map.region_of_page(frame)].append(frame)
-
     @property
     def frame_owners(self) -> list[Optional[int]]:
         """Live owning program of every frame, indexed by frame (None =
         free).
 
         The list object is stable for the allocator's lifetime (allocate
-        and release write its slots in place), so hot paths may hold a
-        direct reference and index it instead of paying two method calls
-        per request.  Callers must treat it as read-only.
+        writes its slots in place), so hot paths may hold a direct
+        reference and index it instead of paying two method calls per
+        request.  Callers must treat it as read-only.
         """
         return self._owner
 

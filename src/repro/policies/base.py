@@ -39,9 +39,10 @@ class AccessContext:
     #: Current physical location of the accessed block (0 = M1).
     location: int
     is_write: bool
-    #: Program owning the accessed block: the requesting core's program,
-    #: whose page table mapped the line (so also its frame owner).
-    owner: Optional[int]
+    #: Program owning the accessed block: the requesting core's program
+    #: (program id = core id), whose page table mapped the line (so also
+    #: its frame owner).
+    owner: int
     #: Program owning the block currently in M1 of this group (c_M1).
     m1_owner: Optional[int]
     st_entry: STEntry

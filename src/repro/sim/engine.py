@@ -42,7 +42,6 @@ class SimulationDriver:
         traces: Sequence[tuple[str, Trace]],
         seed: int = 0,
         track_rsm_regions: bool = False,
-        program_of_core: Optional[Sequence[int]] = None,
         warmup_requests: int = 0,
         validate_every: int = 0,
     ) -> None:
@@ -58,47 +57,25 @@ class SimulationDriver:
         self.policy = (
             build_policy(policy, config) if isinstance(policy, str) else policy
         )
-        # Section 3.1.1: threads of a multi-threaded program share one
-        # program id (counter sets, private region, address space).  The
-        # default maps each trace to its own single-threaded program.
-        if program_of_core is None:
-            program_of_core = list(range(len(self.traces)))
-        if len(program_of_core) != len(self.traces):
-            raise SimulationError("program_of_core must cover every trace")
-        self.program_of_core = list(program_of_core)
-        # Idle cores (fewer traces than cores) map to program 0; they
-        # issue no requests, so the mapping only keeps the id space dense.
-        controller_map = self.program_of_core + [0] * (
-            config.num_cores - len(self.traces)
-        )
+        # Each trace is one single-threaded program on its own core, and
+        # its program id is its core id.  Cores past the last trace stay
+        # idle and own no program.
         self.controller = HybridMemoryController(
             config,
             self.events,
             self.policy,
             seed=seed,
             track_rsm_regions=track_rsm_regions,
-            program_of_core=controller_map,
+            num_programs=len(self.traces),
         )
-        # One page table per program; threads share their program's
-        # virtual address space, sized for the largest thread trace.
-        footprint_pages_by_program: dict[int, int] = {}
-        for core_id, (_name, trace) in enumerate(self.traces):
-            program = self.program_of_core[core_id]
-            pages = trace.max_line() // LINES_PER_PAGE + 1
-            footprint_pages_by_program[program] = max(
-                footprint_pages_by_program.get(program, 0), pages
-            )
-        self._program_tables = {
-            program: PageTable(
-                program=program,
-                allocator=self.controller.allocator,
-                num_pages=pages,
-            )
-            for program, pages in sorted(footprint_pages_by_program.items())
-        }
+        # One page table per program, allocated in core order.
         self.page_tables = [
-            self._program_tables[self.program_of_core[core_id]]
-            for core_id in range(len(self.traces))
+            PageTable(
+                program=core_id,
+                allocator=self.controller.allocator,
+                num_pages=trace.max_line() // LINES_PER_PAGE + 1,
+            )
+            for core_id, (_name, trace) in enumerate(self.traces)
         ]
         # Every frame is allocated above, so each core replays its trace
         # already translated to physical lines and calls the controller

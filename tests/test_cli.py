@@ -422,6 +422,26 @@ class TestGoldenCommand:
         assert code == 1
         assert "GOLDEN MISMATCH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_check_path_not_a_directory_exits_2_before_simulating(
+        self, kind, tmp_path, capsys, monkeypatch
+    ):
+        import repro.sim.golden as golden
+
+        def simulate(name):
+            raise AssertionError(f"simulated golden scenario {name}")
+
+        monkeypatch.setattr(golden, "golden_text", simulate)
+        path = tmp_path / "golden"
+        if kind == "file":
+            path.write_text("{}\n")
+        assert main(["golden", "--check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"profess golden: no golden directory {str(path)!r}"
+        ]
+
 
 class TestPerfSummaryFlag:
     def test_summary_appends_markdown_table(self, tmp_path, capsys):

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.common.config import paper_quad_core, paper_single_core
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigError, SimulationError
+from repro.common.events import EventQueue
+from repro.hybrid.memory import HybridMemoryController
+from repro.policies.registry import build_policy
 from repro.sim.engine import SimulationDriver
 from repro.traces.generator import LINES_PER_PAGE, synthesize_trace
 
@@ -85,6 +88,51 @@ class TestMultiProgram:
         assert result.program(0).name == "zeusmp"
         assert result.program(1).name == "leslie3d"
         assert result.program(0).requests >= 1200
+
+
+class TestProgramPerCore:
+    """Each trace is one program on its own core: program id = core id."""
+
+    def test_one_program_per_core(self):
+        traces = [
+            (name, trace(name, 400, seed))
+            for seed, name in enumerate(["zeusmp", "leslie3d", "mcf"])
+        ]
+        driver = SimulationDriver(QUAD, "pom", traces)
+        assert driver.controller.num_programs == 3
+        assert [table.program for table in driver.page_tables] == [0, 1, 2]
+        controller = HybridMemoryController(
+            QUAD, EventQueue(), build_policy("static", QUAD)
+        )
+        assert controller.num_programs == QUAD.num_cores
+
+    def test_idle_cores_own_no_program(self):
+        # The shape of every Eq. (1) stand-alone reference run: one trace
+        # on the quad system keeps one private region and one RSM
+        # counter set.
+        driver = SimulationDriver(QUAD, "profess", [("zeusmp", trace())])
+        controller = driver.controller
+        assert controller.num_programs == 1
+        assert controller.region_map.private_region == {0: 0}
+        assert not controller.region_map.is_private(1)
+        assert controller.rsm.num_programs == 1
+        assert len(controller.rsm.counters) == 1
+
+    @pytest.mark.parametrize(
+        "num_programs",
+        [
+            pytest.param(0, id="zero"),
+            pytest.param(QUAD.num_cores + 1, id="above-cores"),
+        ],
+    )
+    def test_controller_rejects_programs_outside_the_cores(self, num_programs):
+        with pytest.raises(ConfigError):
+            HybridMemoryController(
+                QUAD,
+                EventQueue(),
+                build_policy("static", QUAD),
+                num_programs=num_programs,
+            )
 
 
 class TestTranslation:

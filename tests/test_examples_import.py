@@ -28,5 +28,4 @@ def test_expected_examples_present():
         "fairness_study",
         "custom_policy",
         "capacity_sweep",
-        "multithreaded",
     } <= names

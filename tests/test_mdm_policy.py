@@ -74,11 +74,6 @@ class TestTopLevelCondition:
         ctx = make_ctx(counters={3: 1})
         assert policy.on_access(ctx) is None
 
-    def test_unowned_block_never_promoted(self):
-        policy = make_policy(exp={(0, 0): 100.0})
-        ctx = make_ctx(owner=None, counters={3: 1})
-        assert policy.on_access(ctx) is None
-
 
 class TestCaseA:
     def test_vacant_m1_promotes_on_benefit(self):

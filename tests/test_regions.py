@@ -98,26 +98,6 @@ class TestAllocator:
         ]
         assert all(alloc.owner_of_frame(frame) is None for frame in unallocated)
 
-    def test_release_returns_frames(self, setup):
-        amap, _regions, alloc = setup
-        frames = alloc.allocate(0, 10)
-        region_counts = {
-            region: alloc.free_frames(region)
-            for region in range(amap.num_regions)
-        }
-        alloc.release(0, frames)
-        for frame in frames:
-            region = amap.region_of_page(frame)
-            region_counts[region] += 1
-        for region, expected in region_counts.items():
-            assert alloc.free_frames(region) == expected
-
-    def test_release_wrong_owner_rejected(self, setup):
-        _amap, _regions, alloc = setup
-        frames = alloc.allocate(0, 1)
-        with pytest.raises(SimulationError):
-            alloc.release(1, frames)
-
     def test_exhaustion_raises(self, setup):
         amap, _regions, alloc = setup
         with pytest.raises(SimulationError):
